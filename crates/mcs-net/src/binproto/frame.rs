@@ -16,6 +16,12 @@ use mcs::{
     LogicalFile, ObjectRef, ObjectType, Permission, UserRecord, View, ViewContents,
 };
 use relstore::{Date, DateTime, Time, Value};
+use soapstack::xml::XmlError;
+use soapstack::Fault;
+
+use crate::client::{CacheStatsReport, CatalogInfoReport, DurabilityMode};
+use crate::dispatch::{bad_arguments, Call, CallScope};
+use crate::ops::{Op, Reply, Request, Response, Shape};
 
 /// Connection preamble: magic + protocol version, echoed by the server.
 pub const MAGIC: [u8; 4] = *b"MCSB";
@@ -60,9 +66,15 @@ pub type Result<T> = std::result::Result<T, FrameError>;
 
 // ---------- frame transport ----------
 
-/// Write one length-prefixed frame.
+/// Write one length-prefixed frame. A body over [`MAX_FRAME`] is
+/// refused before anything is written, so the stream stays usable.
 pub fn write_frame(w: &mut impl Write, body: &[u8]) -> io::Result<()> {
-    debug_assert!(body.len() <= MAX_FRAME as usize);
+    if body.len() > MAX_FRAME as usize {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("frame body of {} bytes exceeds the {MAX_FRAME}-byte limit", body.len()),
+        ));
+    }
     w.write_all(&(body.len() as u32).to_le_bytes())?;
     w.write_all(body)
 }
@@ -328,13 +340,6 @@ impl<'a> Reader<'a> {
         Ok(n)
     }
 
-    /// Consume and return everything left in the frame.
-    pub fn rest(&mut self) -> &'a [u8] {
-        let s = &self.buf[self.pos..];
-        self.pos = self.buf.len();
-        s
-    }
-
     /// Require the frame to be fully consumed (trailing garbage is an
     /// encoding bug or an attack, not padding).
     pub fn finish(&self) -> Result<()> {
@@ -521,21 +526,12 @@ pub fn get_attr_op(r: &mut Reader) -> Result<AttrOp> {
 /// Encode a [`Credential`].
 pub fn put_credential(b: &mut Vec<u8>, c: &Credential) {
     put_str(b, &c.dn);
-    put_u32(b, c.groups.len() as u32);
-    for g in &c.groups {
-        put_str(b, g);
-    }
+    put_strs(b, &c.groups);
 }
 
 /// Decode a [`Credential`].
 pub fn get_credential(r: &mut Reader) -> Result<Credential> {
-    let dn = r.str()?;
-    let n = r.seq_len()?;
-    let mut groups = Vec::with_capacity(n);
-    for _ in 0..n {
-        groups.push(r.str()?);
-    }
-    Ok(Credential { dn, groups })
+    Ok(Credential { dn: r.str()?, groups: get_strs(r)? })
 }
 
 /// Encode an [`ObjectRef`].
@@ -610,10 +606,7 @@ pub fn put_filespec(b: &mut Vec<u8>, s: &FileSpec) {
     put_opt_str(b, &s.container_service);
     put_opt_str(b, &s.master_copy);
     put_bool(b, s.audit);
-    put_u32(b, s.attributes.len() as u32);
-    for a in &s.attributes {
-        put_attribute(b, a);
-    }
+    put_seq(b, &s.attributes, put_attribute);
 }
 
 /// Decode a [`FileSpec`].
@@ -626,11 +619,7 @@ pub fn get_filespec(r: &mut Reader) -> Result<FileSpec> {
     let container_service = r.opt_str()?;
     let master_copy = r.opt_str()?;
     let audit = r.bool()?;
-    let n = r.seq_len()?;
-    let mut attributes = Vec::with_capacity(n);
-    for _ in 0..n {
-        attributes.push(get_attribute(r)?);
-    }
+    let attributes = get_seq(r, get_attribute)?;
     Ok(FileSpec {
         name,
         version,
@@ -768,60 +757,56 @@ pub fn get_view(r: &mut Reader) -> Result<View> {
     })
 }
 
+/// Encode a sequence: a `u32` count, then each item.
+pub fn put_seq<T>(b: &mut Vec<u8>, items: &[T], put: fn(&mut Vec<u8>, &T)) {
+    put_u32(b, items.len() as u32);
+    for x in items {
+        put(b, x);
+    }
+}
+
+/// Decode a sequence written by [`put_seq`]; the count is validated
+/// against the remaining bytes before anything is allocated.
+pub fn get_seq<T>(r: &mut Reader, get: fn(&mut Reader) -> Result<T>) -> Result<Vec<T>> {
+    let n = r.seq_len()?;
+    let mut out = Vec::with_capacity(n);
+    for _ in 0..n {
+        out.push(get(r)?);
+    }
+    Ok(out)
+}
+
 /// Encode (name, version) hit lists — query results and contents files.
 pub fn put_hits(b: &mut Vec<u8>, hits: &[(String, i64)]) {
-    put_u32(b, hits.len() as u32);
-    for (n, v) in hits {
+    put_seq(b, hits, |b, (n, v)| {
         put_str(b, n);
         put_i64(b, *v);
-    }
+    });
 }
 
 /// Decode a (name, version) hit list.
 pub fn get_hits(r: &mut Reader) -> Result<Vec<(String, i64)>> {
-    let n = r.seq_len()?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let name = r.str()?;
-        out.push((name, r.i64()?));
-    }
-    Ok(out)
+    get_seq(r, |r| Ok((r.str()?, r.i64()?)))
 }
 
 /// Encode a string list.
 pub fn put_strs(b: &mut Vec<u8>, ss: &[String]) {
-    put_u32(b, ss.len() as u32);
-    for s in ss {
-        put_str(b, s);
-    }
+    put_seq(b, ss, |b, s| put_str(b, s));
 }
 
 /// Decode a string list.
 pub fn get_strs(r: &mut Reader) -> Result<Vec<String>> {
-    let n = r.seq_len()?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(r.str()?);
-    }
-    Ok(out)
+    get_seq(r, |r| r.str())
 }
 
 /// Encode a `u64` list (epoch vectors).
 pub fn put_u64s(b: &mut Vec<u8>, vs: &[u64]) {
-    put_u32(b, vs.len() as u32);
-    for v in vs {
-        put_u64(b, *v);
-    }
+    put_seq(b, vs, |b, v| put_u64(b, *v));
 }
 
 /// Decode a `u64` list.
 pub fn get_u64s(r: &mut Reader) -> Result<Vec<u64>> {
-    let n = r.seq_len()?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(r.u64()?);
-    }
-    Ok(out)
+    get_seq(r, |r| r.u64())
 }
 
 /// Encode [`CollectionContents`].
@@ -945,6 +930,361 @@ pub fn get_extcat(r: &mut Reader) -> Result<ExternalCatalog> {
         ip: r.str()?,
         description: r.str()?,
     })
+}
+
+// ---------- requests and replies ----------
+
+/// Encode one request frame body: tag, opcode, flags, the optional
+/// durability byte, the credential, then the operation's arguments.
+pub fn encode_request(tag: u32, cred: &Credential, scope: CallScope, req: &Request) -> Vec<u8> {
+    let mut b = Vec::with_capacity(64);
+    put_u32(&mut b, tag);
+    put_u8(&mut b, req.op() as u8);
+    let mut flags = 0u8;
+    if scope.durability.is_some() {
+        flags |= FLAG_DURABILITY;
+    }
+    if scope.cache_bypass {
+        flags |= FLAG_CACHE_BYPASS;
+    }
+    put_u8(&mut b, flags);
+    if let Some(mode) = scope.durability {
+        put_u8(&mut b, mode as u8);
+    }
+    put_credential(&mut b, cred);
+    put_request(&mut b, req);
+    b
+}
+
+fn put_request(b: &mut Vec<u8>, req: &Request) {
+    use Request as Q;
+    match req {
+        Q::Ping | Q::CatalogInfo | Q::SyncNow | Q::CacheStats | Q::ListUsers => {}
+        Q::ListExternalCatalogs => {}
+        Q::WaitForEpoch { epoch, shard } => {
+            put_i64(b, *epoch as i64);
+            put_u32(b, *shard as u32);
+        }
+        Q::CreateFile { spec } => put_filespec(b, spec),
+        Q::CreateFiles { specs } => put_seq(b, specs, put_filespec),
+        Q::GetFile { name }
+        | Q::GetFileVersions { name }
+        | Q::InvalidateFile { name }
+        | Q::DeleteFile { name }
+        | Q::GetCollection { name }
+        | Q::DeleteCollection { name }
+        | Q::ListCollection { name }
+        | Q::GetView { name }
+        | Q::DeleteView { name }
+        | Q::ListView { name }
+        | Q::GetHistory { file: name }
+        | Q::GetUser { dn: name } => put_str(b, name),
+        Q::GetFileVersion { name, version } | Q::DeleteFileVersion { name, version } => {
+            put_str(b, name);
+            put_i64(b, *version);
+        }
+        Q::UpdateFile { name, update } => {
+            put_str(b, name);
+            put_fileupdate(b, update);
+        }
+        Q::CreateCollection { name, parent, description } => {
+            put_str(b, name);
+            put_opt_str(b, parent);
+            put_str(b, description);
+        }
+        Q::AssignCollection { file, collection } => {
+            put_str(b, file);
+            put_opt_str(b, collection);
+        }
+        Q::CreateView { name, description } | Q::AddHistory { file: name, description } => {
+            put_str(b, name);
+            put_str(b, description);
+        }
+        Q::AddToView { view, member } | Q::RemoveFromView { view, member } => {
+            put_str(b, view);
+            put_objref(b, member);
+        }
+        Q::DefineAttribute { name, ty, description } => {
+            put_str(b, name);
+            put_attr_type(b, *ty);
+            put_str(b, description);
+        }
+        Q::SetAttribute { object, attr } => {
+            put_objref(b, object);
+            put_attribute(b, attr);
+        }
+        Q::RemoveAttribute { object, name: text } | Q::Annotate { object, text } => {
+            put_objref(b, object);
+            put_str(b, text);
+        }
+        Q::GetAttributes { object }
+        | Q::GetAnnotations { object }
+        | Q::GetAuditTrail { object } => put_objref(b, object),
+        Q::QueryByAttributes { preds } | Q::ExplainQuery { preds } => {
+            put_seq(b, preds, put_predicate)
+        }
+        Q::SetAudit { object, enabled } => {
+            put_objref(b, object);
+            put_bool(b, *enabled);
+        }
+        Q::Grant { object, principal, perm } | Q::Revoke { object, principal, perm } => {
+            put_objref(b, object);
+            put_str(b, principal);
+            put_permission(b, *perm);
+        }
+        Q::RegisterUser { user } => put_user(b, user),
+        Q::RegisterExternalCatalog { catalog } => put_extcat(b, catalog),
+    }
+}
+
+/// A frame-decode failure maps to the same fault a malformed SOAP body
+/// gets.
+fn bad_frame(e: FrameError) -> Fault {
+    bad_arguments(XmlError::Shape(e.to_string()))
+}
+
+/// Decode one request frame body into its tag and [`Call`]. The whole
+/// frame is decoded — and required fully consumed — before anything
+/// executes, so a malformed request can never half-execute; every decode
+/// error is a fault for that tag, never a dropped connection.
+pub fn decode_request(body: &[u8]) -> (u32, std::result::Result<Call, Fault>) {
+    let mut r = Reader::new(body);
+    // MIN_FRAME guarantees the tag is present.
+    let tag = r.u32().unwrap_or(0);
+    (tag, call_from(&mut r))
+}
+
+fn call_from(r: &mut Reader) -> std::result::Result<Call, Fault> {
+    let opcode = r.u8().map_err(bad_frame)?;
+    let flags = r.u8().map_err(bad_frame)?;
+    let bad = |msg: String| bad_arguments(XmlError::Shape(msg));
+    if flags & !(FLAG_DURABILITY | FLAG_CACHE_BYPASS) != 0 {
+        return Err(bad(format!("unknown request flags {flags:#04x}")));
+    }
+    let durability = if flags & FLAG_DURABILITY != 0 {
+        let byte = r.u8().map_err(bad_frame)?;
+        let modes = [DurabilityMode::Always, DurabilityMode::Group, DurabilityMode::Async];
+        let unknown = || bad(format!("unknown durability mode byte {byte} (expected 0|1|2)"));
+        Some(*modes.get(byte as usize).ok_or_else(unknown)?)
+    } else {
+        None
+    };
+    let scope = CallScope { durability, cache_bypass: flags & FLAG_CACHE_BYPASS != 0 };
+    let op = Op::from_u8(opcode).ok_or_else(|| Fault {
+        code: "soap:Client".into(),
+        message: format!("no such method `{opcode:#04x}`"),
+    })?;
+    let cred = get_credential(r).map_err(bad_frame)?;
+    let request = request_from(op, r).map_err(bad_frame)?;
+    r.finish().map_err(bad_frame)?;
+    // The epoch travels as an i64; a negative one wrapped past i64::MAX.
+    if let Request::WaitForEpoch { epoch, .. } = request {
+        if epoch > i64::MAX as u64 {
+            return Err(bad("epoch must be >= 0".into()));
+        }
+    }
+    Ok(Call { cred, scope, request })
+}
+
+fn request_from(op: Op, r: &mut Reader) -> Result<Request> {
+    use Request as Q;
+    Ok(match op {
+        Op::Ping => Q::Ping,
+        Op::CatalogInfo => Q::CatalogInfo,
+        Op::WaitForEpoch => Q::WaitForEpoch { epoch: r.i64()? as u64, shard: r.u32()? as usize },
+        Op::SyncNow => Q::SyncNow,
+        Op::CacheStats => Q::CacheStats,
+        Op::CreateFile => Q::CreateFile { spec: get_filespec(r)? },
+        Op::CreateFiles => Q::CreateFiles { specs: get_seq(r, get_filespec)? },
+        Op::GetFile => Q::GetFile { name: r.str()? },
+        Op::GetFileVersion => Q::GetFileVersion { name: r.str()?, version: r.i64()? },
+        Op::GetFileVersions => Q::GetFileVersions { name: r.str()? },
+        Op::UpdateFile => Q::UpdateFile { name: r.str()?, update: get_fileupdate(r)? },
+        Op::InvalidateFile => Q::InvalidateFile { name: r.str()? },
+        Op::DeleteFile => Q::DeleteFile { name: r.str()? },
+        Op::DeleteFileVersion => Q::DeleteFileVersion { name: r.str()?, version: r.i64()? },
+        Op::CreateCollection => Q::CreateCollection {
+            name: r.str()?,
+            parent: r.opt_str()?,
+            description: r.str()?,
+        },
+        Op::GetCollection => Q::GetCollection { name: r.str()? },
+        Op::DeleteCollection => Q::DeleteCollection { name: r.str()? },
+        Op::ListCollection => Q::ListCollection { name: r.str()? },
+        Op::AssignCollection => Q::AssignCollection { file: r.str()?, collection: r.opt_str()? },
+        Op::CreateView => Q::CreateView { name: r.str()?, description: r.str()? },
+        Op::GetView => Q::GetView { name: r.str()? },
+        Op::DeleteView => Q::DeleteView { name: r.str()? },
+        Op::AddToView => Q::AddToView { view: r.str()?, member: get_objref(r)? },
+        Op::RemoveFromView => Q::RemoveFromView { view: r.str()?, member: get_objref(r)? },
+        Op::ListView => Q::ListView { name: r.str()? },
+        Op::DefineAttribute => Q::DefineAttribute {
+            name: r.str()?,
+            ty: get_attr_type(r)?,
+            description: r.str()?,
+        },
+        Op::SetAttribute => Q::SetAttribute { object: get_objref(r)?, attr: get_attribute(r)? },
+        Op::RemoveAttribute => Q::RemoveAttribute { object: get_objref(r)?, name: r.str()? },
+        Op::GetAttributes => Q::GetAttributes { object: get_objref(r)? },
+        Op::QueryByAttributes => Q::QueryByAttributes { preds: get_seq(r, get_predicate)? },
+        Op::ExplainQuery => Q::ExplainQuery { preds: get_seq(r, get_predicate)? },
+        Op::Annotate => Q::Annotate { object: get_objref(r)?, text: r.str()? },
+        Op::GetAnnotations => Q::GetAnnotations { object: get_objref(r)? },
+        Op::GetAuditTrail => Q::GetAuditTrail { object: get_objref(r)? },
+        Op::SetAudit => Q::SetAudit { object: get_objref(r)?, enabled: r.bool()? },
+        Op::AddHistory => Q::AddHistory { file: r.str()?, description: r.str()? },
+        Op::GetHistory => Q::GetHistory { file: r.str()? },
+        Op::Grant => Q::Grant { object: get_objref(r)?, principal: r.str()?, perm: get_permission(r)? },
+        Op::Revoke => {
+            Q::Revoke { object: get_objref(r)?, principal: r.str()?, perm: get_permission(r)? }
+        }
+        Op::RegisterUser => Q::RegisterUser { user: get_user(r)? },
+        Op::GetUser => Q::GetUser { dn: r.str()? },
+        Op::ListUsers => Q::ListUsers,
+        Op::RegisterExternalCatalog => Q::RegisterExternalCatalog { catalog: get_extcat(r)? },
+        Op::ListExternalCatalogs => Q::ListExternalCatalogs,
+    })
+}
+
+fn put_response(b: &mut Vec<u8>, resp: &Response) {
+    use Response as R;
+    match resp {
+        R::Unit => {}
+        R::Removed(x) => put_bool(b, *x),
+        R::File(f) => put_file(b, f),
+        R::Files(fs) => put_seq(b, fs, put_file),
+        R::Collection(c) => put_collection(b, c),
+        R::CollectionContents(c) => put_collection_contents(b, c),
+        R::View(v) => put_view(b, v),
+        R::ViewContents(c) => put_view_contents(b, c),
+        R::Attributes(a) => put_seq(b, a, put_attribute),
+        R::Hits(h) => put_hits(b, h),
+        R::Plan(steps) => put_strs(b, steps),
+        R::Annotations(a) => put_seq(b, a, put_annotation),
+        R::AuditTrail(a) => put_seq(b, a, put_audit),
+        R::History(h) => put_seq(b, h, put_history),
+        R::User(u) => put_user(b, u),
+        R::Users(us) => put_seq(b, us, put_user),
+        R::ExternalCatalogs(cs) => put_seq(b, cs, put_extcat),
+        R::CatalogInfo { report, commit_epochs, durable_epochs } => {
+            put_u32(b, report.shards as u32);
+            put_str(b, &report.profile);
+            put_u64(b, report.files);
+            put_bool(b, report.cache_enabled);
+            put_u64s(b, commit_epochs);
+            put_u64s(b, durable_epochs);
+        }
+        R::DurableEpoch(e) => put_u64(b, *e),
+        R::Synced(epochs) => put_u64s(b, epochs),
+        R::CacheStats(s) => {
+            put_bool(b, s.enabled);
+            put_u64(b, s.hits);
+            put_u64(b, s.misses);
+            put_u64(b, s.stale);
+            put_u64(b, s.evictions);
+        }
+    }
+}
+
+fn get_response(shape: Shape, r: &mut Reader) -> Result<Response> {
+    use Response as R;
+    Ok(match shape {
+        Shape::Unit => R::Unit,
+        Shape::Removed => R::Removed(r.bool()?),
+        Shape::File => R::File(get_file(r)?),
+        Shape::Files => R::Files(get_seq(r, get_file)?),
+        Shape::Collection => R::Collection(get_collection(r)?),
+        Shape::CollectionContents => R::CollectionContents(get_collection_contents(r)?),
+        Shape::View => R::View(get_view(r)?),
+        Shape::ViewContents => R::ViewContents(get_view_contents(r)?),
+        Shape::Attributes => R::Attributes(get_seq(r, get_attribute)?),
+        Shape::Hits => R::Hits(get_hits(r)?),
+        Shape::Plan => R::Plan(get_strs(r)?),
+        Shape::Annotations => R::Annotations(get_seq(r, get_annotation)?),
+        Shape::AuditTrail => R::AuditTrail(get_seq(r, get_audit)?),
+        Shape::History => R::History(get_seq(r, get_history)?),
+        Shape::User => R::User(get_user(r)?),
+        Shape::Users => R::Users(get_seq(r, get_user)?),
+        Shape::ExternalCatalogs => R::ExternalCatalogs(get_seq(r, get_extcat)?),
+        Shape::CatalogInfo => R::CatalogInfo {
+            report: CatalogInfoReport {
+                shards: r.u32()? as usize,
+                profile: r.str()?,
+                files: r.u64()?,
+                cache_enabled: r.bool()?,
+            },
+            commit_epochs: get_u64s(r)?,
+            durable_epochs: get_u64s(r)?,
+        },
+        Shape::DurableEpoch => R::DurableEpoch(r.u64()?),
+        Shape::Synced => R::Synced(get_u64s(r)?),
+        Shape::CacheStats => R::CacheStats(CacheStatsReport {
+            enabled: r.bool()?,
+            hits: r.u64()?,
+            misses: r.u64()?,
+            stale: r.u64()?,
+            evictions: r.u64()?,
+        }),
+    })
+}
+
+/// Encode one response frame body for request `tag`: a status byte, then
+/// the epoch/shard echo and the result, or the fault's code and message.
+/// A result too large for one frame is answered with a fault naming the
+/// limit instead, and a fault message too large for one (one echoing a
+/// huge name) is cut short, so the connection survives either way.
+pub fn encode_reply(tag: u32, reply: &std::result::Result<Reply, Fault>) -> Vec<u8> {
+    let mut b = Vec::new();
+    put_u32(&mut b, tag);
+    match reply {
+        Ok(reply) => {
+            put_u8(&mut b, STATUS_OK);
+            put_u64(&mut b, reply.epoch);
+            put_u16(&mut b, reply.shard as u16);
+            put_response(&mut b, &reply.response);
+            if b.len() > MAX_FRAME as usize {
+                let fault = Fault {
+                    code: "soap:Server.Internal".into(),
+                    message: format!(
+                        "response of {} bytes exceeds the {MAX_FRAME}-byte frame limit",
+                        b.len()
+                    ),
+                };
+                return encode_reply(tag, &Err(fault));
+            }
+        }
+        Err(fault) => {
+            put_u8(&mut b, STATUS_FAULT);
+            put_str(&mut b, &fault.code);
+            let room = (MAX_FRAME as usize).saturating_sub(b.len() + 4);
+            let mut end = fault.message.len().min(room);
+            while !fault.message.is_char_boundary(end) {
+                end -= 1;
+            }
+            put_str(&mut b, &fault.message[..end]);
+        }
+    }
+    b
+}
+
+/// Decode the part of a response frame body after the tag, for a
+/// request whose result has shape `shape`. `Err` is a body that does not
+/// decode; `Ok(Err(fault))` is a well-formed fault frame.
+pub fn decode_reply(
+    shape: Shape,
+    r: &mut Reader,
+) -> Result<std::result::Result<Reply, Fault>> {
+    let reply = match r.u8()? {
+        STATUS_OK => {
+            let epoch = r.u64()?;
+            let shard = r.u16()? as usize;
+            Ok(Reply { response: get_response(shape, r)?, epoch, shard })
+        }
+        STATUS_FAULT => Err(Fault { code: r.str()?, message: r.str()? }),
+        other => return Err(bad(format!("unknown response status byte {other}"))),
+    };
+    r.finish()?;
+    Ok(reply)
 }
 
 #[cfg(test)]

@@ -1,6 +1,7 @@
 //! The binary-protocol server: a TCP accept loop feeding per-connection
-//! request loops on a worker pool, dispatching the same catalog ops as
-//! the SOAP front end through the shared [`crate::dispatch`] scope.
+//! request loops on a worker pool. Each frame is decoded into a
+//! [`crate::dispatch::Call`], run by [`crate::dispatch::execute`] — the
+//! same execution the SOAP front end uses — and its reply encoded back.
 //!
 //! One connection is served by one worker at a time and requests are
 //! processed strictly in arrival order, which is what makes pipelining
@@ -14,33 +15,29 @@
 //! * a malformed **stream** — bad preamble, length prefix outside
 //!   `[MIN_FRAME, MAX_FRAME]`, EOF mid-frame — kills the connection
 //!   (after an explanatory error frame when the stream position still
-//!   allows one), because the frame boundary can no longer be trusted;
+//!   allows one), because the frame boundary can no longer be trusted.
+//!   The close lingers: the server shuts down its sending half and
+//!   drains what the peer still sends, so the kernel does not answer
+//!   unread bytes with a reset that would discard the error frame;
 //! * a malformed **frame body** — unknown opcode, bad tag bytes,
 //!   truncated or trailing payload — answers with a structured fault
-//!   frame and the connection keeps serving, exactly like a SOAP fault.
+//!   frame and the connection keeps serving, exactly like a SOAP fault;
+//! * a result too large for one frame is answered with a fault frame
+//!   naming the limit, and the connection keeps serving.
 
 use std::io::{self, BufReader, BufWriter, Write};
-// `frame::*` exports its own `Result` alias; these handlers fail with
-// `Fault`, so pull std's back in.
-use std::result::Result;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 use mcs::{Mcs, ShardedCatalog};
-use soapstack::server::ServerStats;
-use soapstack::threadpool::ThreadPool;
+use soapstack::server::{lingering_close, ServerStats, TcpServer};
 use soapstack::Fault;
 
-use crate::client::DurabilityMode;
-use crate::dispatch::{run_scoped, CallScope};
-use crate::server::{fault_of, fault_of_xml};
-use crate::wire::shape;
+use crate::dispatch::execute;
 
 use super::frame::*;
-use super::Op;
 
 /// How long a worker will wait on a half-sent frame before giving up on
 /// the connection — the backstop that keeps a stalled or hostile peer
@@ -48,14 +45,7 @@ use super::Op;
 const READ_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// A running binary-protocol MCS server; dropping it shuts it down.
-pub struct BinServer {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
-    /// Service counters (same shape as the HTTP server's, so the shared
-    /// `assert_single_connection` test helper applies to both).
-    pub stats: Arc<ServerStats>,
-}
+pub struct BinServer(TcpServer);
 
 impl BinServer {
     /// Expose `mcs` over the binary protocol at `bind_addr` with
@@ -71,56 +61,24 @@ impl BinServer {
         bind_addr: &str,
         workers: usize,
     ) -> io::Result<BinServer> {
-        let listener = TcpListener::bind(bind_addr)?;
-        let addr = listener.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let stats = Arc::new(ServerStats::default());
-        let accept_shutdown = Arc::clone(&shutdown);
-        let accept_stats = Arc::clone(&stats);
-        let accept_thread = std::thread::Builder::new()
-            .name("binproto-accept".into())
-            .spawn(move || {
-                let pool = ThreadPool::new(workers);
-                for conn in listener.incoming() {
-                    if accept_shutdown.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let Ok(stream) = conn else { continue };
-                    accept_stats.connections.fetch_add(1, Ordering::Relaxed);
-                    let catalog = Arc::clone(&catalog);
-                    let stats = Arc::clone(&accept_stats);
-                    pool.execute(move || serve_connection(stream, &catalog, &stats));
-                }
-            })?;
-        Ok(BinServer { addr, shutdown, accept_thread: Some(accept_thread), stats })
+        let serve = move |stream, stats: &ServerStats| serve_connection(stream, &catalog, stats);
+        TcpServer::serve(bind_addr, "binproto-accept", workers, serve).map(BinServer)
     }
 
     /// The bound socket address.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.0.addr()
     }
 
-    /// Service counters.
+    /// Service counters (same shape as the HTTP server's, so the shared
+    /// `assert_single_connection` test helper applies to both).
     pub fn stats(&self) -> &ServerStats {
-        &self.stats
+        &self.0.stats
     }
 
     /// Request shutdown and join the accept thread.
     pub fn stop(&mut self) {
-        if self.accept_thread.is_none() {
-            return;
-        }
-        self.shutdown.store(true, Ordering::Release);
-        let _ = TcpStream::connect(self.addr);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-impl Drop for BinServer {
-    fn drop(&mut self) {
-        self.stop();
+        self.0.stop();
     }
 }
 
@@ -137,47 +95,48 @@ fn serve_connection(stream: TcpStream, catalog: &ShardedCatalog, stats: &ServerS
         },
     );
     let mut writer = BufWriter::with_capacity(64 * 1024, stream);
+    if serve_frames(&mut reader, &mut writer, catalog, stats).is_err() {
+        // The server gave up on a stream the peer may still be writing.
+        let _ = writer.flush();
+        lingering_close(writer.get_ref());
+    }
+}
+
+/// Serve requests until the peer closes on a frame boundary (`Ok`) or
+/// the stream can no longer be trusted (`Err`).
+fn serve_frames(
+    reader: &mut BufReader<TcpStream>,
+    writer: &mut BufWriter<TcpStream>,
+    catalog: &ShardedCatalog,
+    stats: &ServerStats,
+) -> io::Result<()> {
     // Preamble handshake: anything but `MCSB` + our version closes the
     // connection before a single frame is parsed.
-    if read_preamble(&mut reader).is_err() {
-        return;
-    }
-    if write_preamble(&mut writer).is_err() || writer.flush().is_err() {
-        return;
-    }
+    read_preamble(reader)?;
+    write_preamble(writer)?;
+    writer.flush()?;
     loop {
-        let body = match read_frame(&mut reader) {
+        let body = match read_frame(reader) {
             Ok(Some(b)) => b,
-            Ok(None) => return, // clean close on a frame boundary
+            Ok(None) => return Ok(()), // clean close on a frame boundary
             Err(e) if e.kind() == io::ErrorKind::InvalidData => {
                 // Hostile length prefix: say why (tag 0 — the request's
                 // tag is inside the frame we refused to read), then drop
                 // the connection; the stream offset is garbage now.
-                let _ = write_frame(
-                    &mut writer,
-                    &fault_frame(
-                        0,
-                        &Fault {
-                            code: "soap:Client.BadArguments".into(),
-                            message: e.to_string(),
-                        },
-                    ),
-                );
-                let _ = writer.flush();
-                return;
+                let fault =
+                    Fault { code: "soap:Client.BadArguments".into(), message: e.to_string() };
+                write_frame(writer, &encode_reply(0, &Err(fault)))?;
+                return Err(e);
             }
-            Err(_) => return, // EOF mid-frame or a read timeout
+            Err(e) => return Err(e), // EOF mid-frame or a read timeout
         };
         stats.requests.fetch_add(1, Ordering::Relaxed);
-        let resp = handle_frame(catalog, &body);
-        if write_frame(&mut writer, &resp).is_err() {
-            return;
-        }
+        write_frame(writer, &handle_frame(catalog, &body))?;
         // Pipelining: pay the flush only when no further request is
         // already buffered — a burst of N requests gets its N responses
         // in (usually) one write.
-        if reader.buffer().is_empty() && writer.flush().is_err() {
-            return;
+        if reader.buffer().is_empty() {
+            writer.flush()?;
         }
     }
 }
@@ -185,387 +144,7 @@ fn serve_connection(stream: TcpStream, catalog: &ShardedCatalog, stats: &ServerS
 /// One request frame in, one response frame body out. Never panics on
 /// hostile input: every decode error becomes a structured fault frame.
 pub fn handle_frame(catalog: &ShardedCatalog, body: &[u8]) -> Vec<u8> {
-    let mut r = Reader::new(body);
-    // MIN_FRAME guarantees the tag is present.
-    let tag = r.u32().unwrap_or(0);
-    match run_request(catalog, &mut r) {
-        // A call that logged nothing echoes (0, 0), matching the SOAP
-        // front end where the epoch/shard attributes are simply absent.
-        Ok((payload, 0, _)) => ok_frame(tag, 0, 0, &payload),
-        Ok((payload, epoch, shard)) => ok_frame(tag, epoch, shard, &payload),
-        Err(fault) => fault_frame(tag, &fault),
-    }
-}
-
-fn ok_frame(tag: u32, epoch: u64, shard: usize, payload: &[u8]) -> Vec<u8> {
-    let mut b = Vec::with_capacity(15 + payload.len());
-    put_u32(&mut b, tag);
-    put_u8(&mut b, STATUS_OK);
-    put_u64(&mut b, epoch);
-    put_u16(&mut b, shard as u16);
-    b.extend_from_slice(payload);
-    b
-}
-
-fn fault_frame(tag: u32, fault: &Fault) -> Vec<u8> {
-    let mut b = Vec::new();
-    put_u32(&mut b, tag);
-    put_u8(&mut b, STATUS_FAULT);
-    put_str(&mut b, &fault.code);
-    put_str(&mut b, &fault.message);
-    b
-}
-
-/// A frame-decode failure maps to the same fault a malformed SOAP body
-/// gets, so the client-side error kind is `BadArguments` either way.
-fn fault_of_frame(e: FrameError) -> Fault {
-    fault_of_xml(shape(e.to_string()))
-}
-
-fn run_request(
-    catalog: &ShardedCatalog,
-    r: &mut Reader,
-) -> Result<(Vec<u8>, u64, usize), Fault> {
-    let opcode = r.u8().map_err(fault_of_frame)?;
-    let flags = r.u8().map_err(fault_of_frame)?;
-    if flags & !(FLAG_DURABILITY | FLAG_CACHE_BYPASS) != 0 {
-        return Err(fault_of_xml(shape(format!("unknown request flags {flags:#04x}"))));
-    }
-    let durability = if flags & FLAG_DURABILITY != 0 {
-        Some(match r.u8().map_err(fault_of_frame)? {
-            0 => DurabilityMode::Always,
-            1 => DurabilityMode::Group,
-            2 => DurabilityMode::Async,
-            other => {
-                return Err(fault_of_xml(shape(format!(
-                    "unknown durability mode byte {other} (expected 0|1|2)"
-                ))))
-            }
-        })
-    } else {
-        None
-    };
-    let scope = CallScope { durability, cache_bypass: flags & FLAG_CACHE_BYPASS != 0 };
-    let op = Op::from_u8(opcode).ok_or_else(|| Fault {
-        code: "soap:Client".into(),
-        message: format!("no such method `{opcode:#04x}`"),
-    })?;
-    let cred = get_credential(r).map_err(fault_of_frame)?;
-    let (result, epoch, shard) = run_scoped(catalog, scope, |c| exec_op(c, op, &cred, r));
-    result.map(|payload| (payload, epoch, shard))
-}
-
-/// Decode the op's arguments, require the frame fully consumed, run the
-/// catalog operation, encode the result payload. Argument decoding
-/// happens entirely *before* the operation executes, so a malformed
-/// request can never half-execute.
-fn exec_op(
-    mcs: &ShardedCatalog,
-    op: Op,
-    cred: &mcs::Credential,
-    r: &mut Reader,
-) -> Result<Vec<u8>, Fault> {
-    let fin = |r: &mut Reader| r.finish().map_err(fault_of_frame);
-    let mut b = Vec::new();
-    match op {
-        Op::Ping => {
-            fin(r)?;
-        }
-        Op::CatalogInfo => {
-            fin(r)?;
-            put_u32(&mut b, mcs.shards() as u32);
-            put_str(&mut b, &format!("{:?}", mcs.index_profile()));
-            put_u64(&mut b, mcs.file_count().map_err(fault_of)? as u64);
-            put_bool(&mut b, mcs.cache_enabled());
-            put_u64s(&mut b, &mcs.commit_epochs());
-            put_u64s(&mut b, &mcs.durable_epochs());
-        }
-        Op::WaitForEpoch => {
-            let epoch = r.i64().map_err(fault_of_frame)?;
-            let shard = r.u32().map_err(fault_of_frame)? as usize;
-            fin(r)?;
-            if epoch < 0 {
-                return Err(fault_of_xml(shape("epoch must be >= 0")));
-            }
-            if shard >= mcs.shards() {
-                return Err(fault_of_xml(shape(format!(
-                    "shard {shard} out of range (catalog has {})",
-                    mcs.shards()
-                ))));
-            }
-            mcs.wait_for_epoch(shard, epoch as u64).map_err(fault_of)?;
-            put_u64(&mut b, mcs.durable_epoch(shard).map_err(fault_of)?);
-        }
-        Op::SyncNow => {
-            fin(r)?;
-            put_u64s(&mut b, &mcs.sync_now().map_err(fault_of)?);
-        }
-        Op::CacheStats => {
-            fin(r)?;
-            let stats = mcs.cache_stats().unwrap_or_default();
-            put_bool(&mut b, mcs.cache_enabled());
-            put_u64(&mut b, stats.hits);
-            put_u64(&mut b, stats.misses);
-            put_u64(&mut b, stats.stale);
-            put_u64(&mut b, stats.evictions);
-        }
-        Op::CreateFile => {
-            let spec = get_filespec(r).map_err(fault_of_frame)?;
-            fin(r)?;
-            put_file(&mut b, &mcs.create_file(cred, &spec).map_err(fault_of)?);
-        }
-        Op::CreateFiles => {
-            let n = r.seq_len().map_err(fault_of_frame)?;
-            let mut specs = Vec::with_capacity(n);
-            for _ in 0..n {
-                specs.push(get_filespec(r).map_err(fault_of_frame)?);
-            }
-            fin(r)?;
-            let fs = mcs.create_files(cred, &specs).map_err(fault_of)?;
-            put_u32(&mut b, fs.len() as u32);
-            for f in &fs {
-                put_file(&mut b, f);
-            }
-        }
-        Op::GetFile => {
-            let name = r.str().map_err(fault_of_frame)?;
-            fin(r)?;
-            put_file(&mut b, &mcs.get_file(cred, &name).map_err(fault_of)?);
-        }
-        Op::GetFileVersion => {
-            let name = r.str().map_err(fault_of_frame)?;
-            let version = r.i64().map_err(fault_of_frame)?;
-            fin(r)?;
-            put_file(&mut b, &mcs.get_file_version(cred, &name, version).map_err(fault_of)?);
-        }
-        Op::GetFileVersions => {
-            let name = r.str().map_err(fault_of_frame)?;
-            fin(r)?;
-            let fs = mcs.get_file_versions(cred, &name).map_err(fault_of)?;
-            put_u32(&mut b, fs.len() as u32);
-            for f in &fs {
-                put_file(&mut b, f);
-            }
-        }
-        Op::UpdateFile => {
-            let name = r.str().map_err(fault_of_frame)?;
-            let upd = get_fileupdate(r).map_err(fault_of_frame)?;
-            fin(r)?;
-            put_file(&mut b, &mcs.update_file(cred, &name, &upd).map_err(fault_of)?);
-        }
-        Op::InvalidateFile => {
-            let name = r.str().map_err(fault_of_frame)?;
-            fin(r)?;
-            mcs.invalidate_file(cred, &name).map_err(fault_of)?;
-        }
-        Op::DeleteFile => {
-            let name = r.str().map_err(fault_of_frame)?;
-            fin(r)?;
-            mcs.delete_file(cred, &name).map_err(fault_of)?;
-        }
-        Op::DeleteFileVersion => {
-            let name = r.str().map_err(fault_of_frame)?;
-            let version = r.i64().map_err(fault_of_frame)?;
-            fin(r)?;
-            mcs.delete_file_version(cred, &name, version).map_err(fault_of)?;
-        }
-        Op::CreateCollection => {
-            let name = r.str().map_err(fault_of_frame)?;
-            let parent = r.opt_str().map_err(fault_of_frame)?;
-            let description = r.str().map_err(fault_of_frame)?;
-            fin(r)?;
-            let c = mcs
-                .create_collection(cred, &name, parent.as_deref(), &description)
-                .map_err(fault_of)?;
-            put_collection(&mut b, &c);
-        }
-        Op::GetCollection => {
-            let name = r.str().map_err(fault_of_frame)?;
-            fin(r)?;
-            put_collection(&mut b, &mcs.get_collection(cred, &name).map_err(fault_of)?);
-        }
-        Op::DeleteCollection => {
-            let name = r.str().map_err(fault_of_frame)?;
-            fin(r)?;
-            mcs.delete_collection(cred, &name).map_err(fault_of)?;
-        }
-        Op::ListCollection => {
-            let name = r.str().map_err(fault_of_frame)?;
-            fin(r)?;
-            put_collection_contents(&mut b, &mcs.list_collection(cred, &name).map_err(fault_of)?);
-        }
-        Op::AssignCollection => {
-            let file = r.str().map_err(fault_of_frame)?;
-            let collection = r.opt_str().map_err(fault_of_frame)?;
-            fin(r)?;
-            mcs.assign_collection(cred, &file, collection.as_deref()).map_err(fault_of)?;
-        }
-        Op::CreateView => {
-            let name = r.str().map_err(fault_of_frame)?;
-            let description = r.str().map_err(fault_of_frame)?;
-            fin(r)?;
-            put_view(&mut b, &mcs.create_view(cred, &name, &description).map_err(fault_of)?);
-        }
-        Op::GetView => {
-            let name = r.str().map_err(fault_of_frame)?;
-            fin(r)?;
-            put_view(&mut b, &mcs.get_view(cred, &name).map_err(fault_of)?);
-        }
-        Op::DeleteView => {
-            let name = r.str().map_err(fault_of_frame)?;
-            fin(r)?;
-            mcs.delete_view(cred, &name).map_err(fault_of)?;
-        }
-        Op::AddToView => {
-            let view = r.str().map_err(fault_of_frame)?;
-            let member = get_objref(r).map_err(fault_of_frame)?;
-            fin(r)?;
-            mcs.add_to_view(cred, &view, &member).map_err(fault_of)?;
-        }
-        Op::RemoveFromView => {
-            let view = r.str().map_err(fault_of_frame)?;
-            let member = get_objref(r).map_err(fault_of_frame)?;
-            fin(r)?;
-            put_bool(&mut b, mcs.remove_from_view(cred, &view, &member).map_err(fault_of)?);
-        }
-        Op::ListView => {
-            let name = r.str().map_err(fault_of_frame)?;
-            fin(r)?;
-            put_view_contents(&mut b, &mcs.list_view(cred, &name).map_err(fault_of)?);
-        }
-        Op::DefineAttribute => {
-            let name = r.str().map_err(fault_of_frame)?;
-            let ty = get_attr_type(r).map_err(fault_of_frame)?;
-            let description = r.str().map_err(fault_of_frame)?;
-            fin(r)?;
-            mcs.define_attribute(cred, &name, ty, &description).map_err(fault_of)?;
-        }
-        Op::SetAttribute => {
-            let object = get_objref(r).map_err(fault_of_frame)?;
-            let attr = get_attribute(r).map_err(fault_of_frame)?;
-            fin(r)?;
-            mcs.set_attribute(cred, &object, &attr).map_err(fault_of)?;
-        }
-        Op::RemoveAttribute => {
-            let object = get_objref(r).map_err(fault_of_frame)?;
-            let name = r.str().map_err(fault_of_frame)?;
-            fin(r)?;
-            put_bool(&mut b, mcs.remove_attribute(cred, &object, &name).map_err(fault_of)?);
-        }
-        Op::GetAttributes => {
-            let object = get_objref(r).map_err(fault_of_frame)?;
-            fin(r)?;
-            let attrs = mcs.get_attributes(cred, &object).map_err(fault_of)?;
-            put_u32(&mut b, attrs.len() as u32);
-            for a in &attrs {
-                put_attribute(&mut b, a);
-            }
-        }
-        Op::QueryByAttributes => {
-            let preds = get_predicates(r)?;
-            fin(r)?;
-            put_hits(&mut b, &mcs.query_by_attributes(cred, &preds).map_err(fault_of)?);
-        }
-        Op::ExplainQuery => {
-            let preds = get_predicates(r)?;
-            fin(r)?;
-            put_strs(&mut b, &mcs.explain_query(cred, &preds).map_err(fault_of)?);
-        }
-        Op::Annotate => {
-            let object = get_objref(r).map_err(fault_of_frame)?;
-            let text = r.str().map_err(fault_of_frame)?;
-            fin(r)?;
-            mcs.annotate(cred, &object, &text).map_err(fault_of)?;
-        }
-        Op::GetAnnotations => {
-            let object = get_objref(r).map_err(fault_of_frame)?;
-            fin(r)?;
-            let anns = mcs.get_annotations(cred, &object).map_err(fault_of)?;
-            put_u32(&mut b, anns.len() as u32);
-            for a in &anns {
-                put_annotation(&mut b, a);
-            }
-        }
-        Op::GetAuditTrail => {
-            let object = get_objref(r).map_err(fault_of_frame)?;
-            fin(r)?;
-            let recs = mcs.get_audit_trail(cred, &object).map_err(fault_of)?;
-            put_u32(&mut b, recs.len() as u32);
-            for a in &recs {
-                put_audit(&mut b, a);
-            }
-        }
-        Op::SetAudit => {
-            let object = get_objref(r).map_err(fault_of_frame)?;
-            let enabled = r.bool().map_err(fault_of_frame)?;
-            fin(r)?;
-            mcs.set_audit(cred, &object, enabled).map_err(fault_of)?;
-        }
-        Op::AddHistory => {
-            let file = r.str().map_err(fault_of_frame)?;
-            let description = r.str().map_err(fault_of_frame)?;
-            fin(r)?;
-            mcs.add_history(cred, &file, &description).map_err(fault_of)?;
-        }
-        Op::GetHistory => {
-            let file = r.str().map_err(fault_of_frame)?;
-            fin(r)?;
-            let recs = mcs.get_history(cred, &file).map_err(fault_of)?;
-            put_u32(&mut b, recs.len() as u32);
-            for h in &recs {
-                put_history(&mut b, h);
-            }
-        }
-        Op::Grant | Op::Revoke => {
-            let object = get_objref(r).map_err(fault_of_frame)?;
-            let principal = r.str().map_err(fault_of_frame)?;
-            let perm = get_permission(r).map_err(fault_of_frame)?;
-            fin(r)?;
-            match op {
-                Op::Grant => mcs.grant(cred, &object, &principal, perm).map_err(fault_of)?,
-                _ => mcs.revoke(cred, &object, &principal, perm).map_err(fault_of)?,
-            }
-        }
-        Op::RegisterUser => {
-            let user = get_user(r).map_err(fault_of_frame)?;
-            fin(r)?;
-            mcs.register_user(cred, &user).map_err(fault_of)?;
-        }
-        Op::GetUser => {
-            let dn = r.str().map_err(fault_of_frame)?;
-            fin(r)?;
-            put_user(&mut b, &mcs.get_user(cred, &dn).map_err(fault_of)?);
-        }
-        Op::ListUsers => {
-            fin(r)?;
-            let us = mcs.list_users(cred).map_err(fault_of)?;
-            put_u32(&mut b, us.len() as u32);
-            for u in &us {
-                put_user(&mut b, u);
-            }
-        }
-        Op::RegisterExternalCatalog => {
-            let cat = get_extcat(r).map_err(fault_of_frame)?;
-            fin(r)?;
-            mcs.register_external_catalog(cred, &cat).map_err(fault_of)?;
-        }
-        Op::ListExternalCatalogs => {
-            fin(r)?;
-            let cats = mcs.list_external_catalogs(cred).map_err(fault_of)?;
-            put_u32(&mut b, cats.len() as u32);
-            for c in &cats {
-                put_extcat(&mut b, c);
-            }
-        }
-    }
-    Ok(b)
-}
-
-fn get_predicates(r: &mut Reader) -> Result<Vec<mcs::AttrPredicate>, Fault> {
-    let n = r.seq_len().map_err(fault_of_frame)?;
-    let mut preds = Vec::with_capacity(n);
-    for _ in 0..n {
-        preds.push(get_predicate(r).map_err(fault_of_frame)?);
-    }
-    Ok(preds)
+    let (tag, call) = decode_request(body);
+    let reply = call.and_then(|c| execute(catalog, &c.cred, c.scope, c.request));
+    encode_reply(tag, &reply)
 }

@@ -1,5 +1,10 @@
 //! Synchronous MCS client — the counterpart of the paper's Java client
 //! API, one method per catalog operation.
+//!
+//! The typed methods are written once, on [`Client`], over a
+//! [`Transport`] that carries one [`Request`] and brings back its
+//! [`Reply`]. [`McsClient`] is that client over SOAP;
+//! [`crate::BinMcsClient`] is the same client over the binary protocol.
 
 use std::fmt;
 
@@ -8,10 +13,11 @@ use mcs::{
     CollectionContents, Credential, ExternalCatalog, FileSpec, FileUpdate, HistoryRecord,
     LogicalFile, ObjectRef, Permission, UserRecord, View, ViewContents,
 };
-use soapstack::xml::{Element, XmlError};
-use soapstack::{SoapClient, SoapError, TransportOpts};
+use soapstack::xml::XmlError;
+use soapstack::{Fault, SoapClient, SoapError, TransportOpts};
 
-use crate::wire::*;
+use crate::dispatch::CallScope;
+use crate::ops::{Reply, Request, Response};
 
 /// Error kind reconstructed from a structured server fault code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,23 +54,17 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
+    /// The kind a fault code names: its last `.`-separated part is the
+    /// kind's name, e.g. `soap:Server.NotFound`.
     pub(crate) fn from_code(code: &str) -> FaultKind {
-        match code.rsplit('.').next().unwrap_or("") {
-            "NotFound" => FaultKind::NotFound,
-            "AlreadyExists" => FaultKind::AlreadyExists,
-            "PermissionDenied" => FaultKind::PermissionDenied,
-            "InvalidName" => FaultKind::InvalidName,
-            "CycleDetected" => FaultKind::CycleDetected,
-            "AlreadyInCollection" => FaultKind::AlreadyInCollection,
-            "CollectionNotEmpty" => FaultKind::CollectionNotEmpty,
-            "BadAttribute" => FaultKind::BadAttribute,
-            "VersionConflict" => FaultKind::VersionConflict,
-            "DurabilityLost" => FaultKind::DurabilityLost,
-            "Db" => FaultKind::Db,
-            "Internal" => FaultKind::Internal,
-            "BadArguments" => FaultKind::BadArguments,
-            _ => FaultKind::Unknown,
-        }
+        use FaultKind::*;
+        let name = code.rsplit('.').next().unwrap_or("");
+        [NotFound, AlreadyExists, PermissionDenied, InvalidName, CycleDetected]
+            .into_iter()
+            .chain([AlreadyInCollection, CollectionNotEmpty, BadAttribute, VersionConflict])
+            .chain([DurabilityLost, Db, Internal, BadArguments])
+            .find(|k| format!("{k:?}") == name)
+            .unwrap_or(Unknown)
     }
 }
 
@@ -85,6 +85,10 @@ pub enum NetError {
     /// Binary-protocol transport or framing failure
     /// ([`crate::BinMcsClient`]).
     Frame(String),
+    /// The request encodes to a binary frame body of this many bytes,
+    /// over [`crate::binproto::frame::MAX_FRAME`]; nothing was sent and
+    /// the connection is unchanged.
+    TooLarge(usize),
 }
 
 impl fmt::Display for NetError {
@@ -94,6 +98,11 @@ impl fmt::Display for NetError {
             NetError::Soap(e) => write!(f, "{e}"),
             NetError::Shape(e) => write!(f, "bad response: {e}"),
             NetError::Frame(e) => write!(f, "frame error: {e}"),
+            NetError::TooLarge(n) => write!(
+                f,
+                "request of {n} bytes exceeds the {}-byte frame limit",
+                crate::binproto::frame::MAX_FRAME
+            ),
         }
     }
 }
@@ -103,12 +112,15 @@ impl std::error::Error for NetError {}
 impl From<SoapError> for NetError {
     fn from(e: SoapError) -> Self {
         match e {
-            SoapError::Fault(fl) => NetError::Fault {
-                kind: FaultKind::from_code(&fl.code),
-                message: fl.message,
-            },
+            SoapError::Fault(fl) => fl.into(),
             other => NetError::Soap(other),
         }
+    }
+}
+
+impl From<Fault> for NetError {
+    fn from(f: Fault) -> Self {
+        NetError::Fault { kind: FaultKind::from_code(&f.code), message: f.message }
     }
 }
 
@@ -131,27 +143,18 @@ pub type Result<T> = std::result::Result<T, NetError>;
 /// Per-request commit durability a client can ask of the server (the
 /// `mcs:durability` header; see DESIGN.md §7.2). `Async` trades bounded
 /// durability lag for immediate acknowledgement — the server echoes a
-/// commit epoch with each write, and [`McsClient::wait_for_epoch`] /
-/// [`McsClient::sync_now`] turn the weak ack into a hard one.
+/// commit epoch with each write, and [`Client::wait_for_epoch`] /
+/// [`Client::sync_now`] turn the weak ack into a hard one. The
+/// discriminant is the mode's byte on the binary protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DurabilityMode {
     /// One fsync per commit before the response (the default).
-    Always,
+    Always = 0,
     /// Commit parks until a group-commit leader has synced its batch.
-    Group,
+    Group = 1,
     /// Commit is acknowledged as soon as its log position is fixed; the
     /// response carries the commit epoch.
-    Async,
-}
-
-impl DurabilityMode {
-    fn header_value(self) -> &'static str {
-        match self {
-            DurabilityMode::Always => "always",
-            DurabilityMode::Group => "group",
-            DurabilityMode::Async => "async",
-        }
-    }
+    Async = 2,
 }
 
 /// Server-side read-cache counters as reported by the `cacheStats` op.
@@ -184,23 +187,42 @@ pub struct CatalogInfoReport {
     pub cache_enabled: bool,
 }
 
+/// Carries one call to the server and brings back its reply.
+pub trait Transport {
+    /// Send `req` as `cred` under `scope` and wait for the reply.
+    fn call(&mut self, cred: &Credential, scope: CallScope, req: &Request) -> Result<Reply>;
+}
+
 /// A synchronous client bound to one MCS endpoint and one credential.
-pub struct McsClient {
-    soap: SoapClient,
-    cred: Credential,
-    /// When set, every request carries `mcs:durability="<mode>"`.
-    durability: Option<DurabilityMode>,
-    /// When true, every request carries `mcs:cache="bypass"`.
-    cache_bypass: bool,
-    /// Commit epoch echoed by the last write response (0 if the last
-    /// call logged nothing or predates this feature).
+pub struct Client<T> {
+    pub(crate) transport: T,
+    pub(crate) cred: Credential,
+    /// Options every request carries (`mcs:durability`, `mcs:cache` on
+    /// SOAP; flag bits on the binary protocol).
+    pub(crate) scope: CallScope,
+    /// Commit epoch echoed by the last response (0 if that call logged
+    /// nothing).
     last_epoch: u64,
     /// Shard the last echoed epoch belongs to (0 unless the server is
     /// sharded and said otherwise).
     last_shard: usize,
 }
 
-impl McsClient {
+/// The SOAP transport: one method call per request over HTTP.
+pub struct SoapTransport(SoapClient);
+
+impl Transport for SoapTransport {
+    fn call(&mut self, cred: &Credential, scope: CallScope, req: &Request) -> Result<Reply> {
+        let op = req.op();
+        let el = self.0.call(op.name(), crate::wire::call_el(cred, scope, req))?;
+        Ok(crate::wire::reply_from(op.shape(), &el)?)
+    }
+}
+
+/// The MCS client over SOAP.
+pub type McsClient = Client<SoapTransport>;
+
+impl Client<SoapTransport> {
     /// Connect to `addr` (e.g. `127.0.0.1:8080`) as `cred`, with default
     /// transport options (connection per call, no simulated latency).
     pub fn connect(addr: impl Into<String>, cred: Credential) -> McsClient {
@@ -208,19 +230,14 @@ impl McsClient {
     }
 
     /// Connect with explicit transport options.
-    pub fn with_opts(
-        addr: impl Into<String>,
-        cred: Credential,
-        opts: TransportOpts,
-    ) -> McsClient {
-        McsClient {
-            soap: SoapClient::with_opts(addr, "/mcs", opts),
-            cred,
-            durability: None,
-            cache_bypass: false,
-            last_epoch: 0,
-            last_shard: 0,
-        }
+    pub fn with_opts(addr: impl Into<String>, cred: Credential, opts: TransportOpts) -> McsClient {
+        Client::new(SoapTransport(SoapClient::with_opts(addr, "/mcs", opts)), cred)
+    }
+}
+
+impl<T: Transport> Client<T> {
+    pub(crate) fn new(transport: T, cred: Credential) -> Client<T> {
+        Client { transport, cred, scope: CallScope::default(), last_epoch: 0, last_shard: 0 }
     }
 
     /// The credential this client acts as.
@@ -232,463 +249,257 @@ impl McsClient {
     /// to the server's store-wide policy). With
     /// [`DurabilityMode::Async`], writes return as soon as their log
     /// position is fixed; read the echoed epoch with
-    /// [`McsClient::last_epoch`] and barrier with
-    /// [`McsClient::wait_for_epoch`] or [`McsClient::sync_now`].
+    /// [`Client::last_epoch`] and barrier with
+    /// [`Client::wait_for_epoch`] or [`Client::sync_now`].
     pub fn set_durability(&mut self, mode: Option<DurabilityMode>) {
-        self.durability = mode;
+        self.scope.durability = mode;
+    }
+
+    /// Ask the server to skip its read cache for this client's requests
+    /// (see DESIGN.md §7.3). The bypass is per-request — other clients
+    /// and the cache itself are unaffected — which makes it the tool for
+    /// A/B measurements and for forcing a read straight from the store.
+    pub fn set_cache_bypass(&mut self, bypass: bool) {
+        self.scope.cache_bypass = bypass;
     }
 
     /// The commit epoch the server echoed on the most recent response (0
     /// if that call logged nothing). Pass it to
-    /// [`McsClient::wait_for_epoch`] to make the write durable.
+    /// [`Client::wait_for_epoch`] to make the write durable.
     pub fn last_epoch(&self) -> u64 {
         self.last_epoch
     }
 
-    /// The shard [`McsClient::last_epoch`] belongs to. Epochs are per
-    /// shard on a partitioned server (`mcs:shard` response attribute);
-    /// always 0 against a single-shard catalog.
+    /// The shard [`Client::last_epoch`] belongs to. Epochs are per shard
+    /// on a partitioned server; always 0 against a single-shard catalog.
     pub fn last_shard(&self) -> usize {
         self.last_shard
     }
 
-    /// Ask the server to skip its read cache for this client's requests
-    /// (the `mcs:cache="bypass"` attribute; see DESIGN.md §7.3). The
-    /// bypass is per-request — other clients and the cache itself are
-    /// unaffected — which makes it the tool for A/B measurements and
-    /// for forcing a read straight from the store.
-    pub fn set_cache_bypass(&mut self, bypass: bool) {
-        self.cache_bypass = bypass;
+    /// Run one request and return its result; every typed method below
+    /// is this plus the unwrapping of its response variant.
+    pub fn call(&mut self, req: &Request) -> Result<Response> {
+        let reply = self.transport.call(&self.cred, self.scope, req)?;
+        Ok(self.note(reply))
     }
 
-    /// Fetch the server's read-cache counters (the `cacheStats` op).
-    pub fn cache_stats(&mut self) -> Result<CacheStatsReport> {
-        let r = self.call("cacheStats", Element::new("a"))?;
-        Ok(CacheStatsReport {
-            enabled: req_text(&r, "enabled")? == "true",
-            hits: req_text(&r, "hits")?.parse().unwrap_or(0),
-            misses: req_text(&r, "misses")?.parse().unwrap_or(0),
-            stale: req_text(&r, "stale")?.parse().unwrap_or(0),
-            evictions: req_text(&r, "evictions")?.parse().unwrap_or(0),
-        })
+    /// Record a reply's epoch/shard echo and hand back its result.
+    pub(crate) fn note(&mut self, reply: Reply) -> Response {
+        self.last_epoch = reply.epoch;
+        self.last_shard = reply.shard;
+        reply.response
     }
 
-    fn call(&mut self, method: &str, mut args: Element) -> Result<Element> {
-        // Every call carries the credential (the GSI context of the
-        // original would ride the TLS layer instead).
-        args.children.insert(0, soapstack::xml::Node::Element(credential_el(&self.cred)));
-        if self.durability.is_some() || self.cache_bypass {
-            args = args.attr("xmlns:mcs", soapstack::soap::MCS_NS);
+    // --- service topology and durability barriers (DESIGN.md §7.2) ---
+
+    /// Server topology and vitals (the `catalogInfo` op).
+    pub fn catalog_info(&mut self) -> Result<CatalogInfoReport> {
+        match self.call(&Request::CatalogInfo)? {
+            Response::CatalogInfo { report, .. } => Ok(report),
+            other => Err(unexpected(other)),
         }
-        if let Some(mode) = self.durability {
-            args = args.attr("mcs:durability", mode.header_value());
-        }
-        if self.cache_bypass {
-            args = args.attr("mcs:cache", "bypass");
-        }
-        let r = self.soap.call(method, args)?;
-        // writes echo the commit epoch of whatever they logged (and the
-        // shard it landed on, when the server is partitioned)
-        self.last_epoch = r
-            .attr_value("mcs:epoch")
-            .and_then(|v| v.parse::<u64>().ok())
-            .unwrap_or(0);
-        self.last_shard = r
-            .attr_value("mcs:shard")
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or(0);
-        Ok(r)
     }
 
-    // --- durability barriers (DESIGN.md §7.2) ---
-
-    /// Park on the server until the durable-epoch watermark covers
-    /// `epoch` (a value from [`McsClient::last_epoch`]); returns the
+    /// Park on the server until shard 0's durable-epoch watermark covers
+    /// `epoch` (a value from [`Client::last_epoch`]); returns the
     /// watermark. Fails with [`FaultKind::DurabilityLost`] if the
     /// server's log writer broke while the epoch was pending.
     pub fn wait_for_epoch(&mut self, epoch: u64) -> Result<u64> {
         self.wait_for_epoch_on(0, epoch)
     }
 
-    /// [`McsClient::wait_for_epoch`] against one shard of a partitioned
-    /// server: epochs are per shard, so pair the epoch with the shard the
-    /// write's response named ([`McsClient::last_shard`]).
-    pub fn wait_for_epoch_on(&mut self, shard: usize, epoch: u64) -> Result<u64> {
-        let mut args = Element::new("a").child(text_el("epoch", epoch.to_string()));
-        if shard > 0 {
-            args = args.child(text_el("shard", shard.to_string()));
-        }
-        let r = self.call("waitForEpoch", args)?;
-        Ok(req_text(&r, "durableEpoch")?.parse().unwrap_or(0))
-    }
-
-    /// Server topology and vitals (the `catalogInfo` op).
-    pub fn catalog_info(&mut self) -> Result<CatalogInfoReport> {
-        let r = self.call("catalogInfo", Element::new("a"))?;
-        Ok(CatalogInfoReport {
-            shards: req_text(&r, "shards")?.parse().unwrap_or(1),
-            profile: req_text(&r, "profile")?,
-            files: req_text(&r, "files")?.parse().unwrap_or(0),
-            cache_enabled: req_text(&r, "cacheEnabled")? == "true",
-        })
-    }
-
     /// Make every acknowledged write durable now (the bulk-load final
-    /// barrier); returns the epoch the barrier covered.
+    /// barrier); returns the epoch the barrier covered (shard 0's on a
+    /// partitioned server).
     pub fn sync_now(&mut self) -> Result<u64> {
-        let r = self.call("syncNow", Element::new("a"))?;
-        Ok(req_text(&r, "durableEpoch")?.parse().unwrap_or(0))
+        match self.call(&Request::SyncNow)? {
+            Response::Synced(epochs) => Ok(epochs.first().copied().unwrap_or(0)),
+            other => Err(unexpected(other)),
+        }
     }
+}
 
+fn unexpected(r: Response) -> NetError {
+    NetError::Shape(XmlError::Shape(format!("unexpected response {r:?}")))
+}
+
+/// The typed methods, one table row each: the method, the payload it
+/// returns with the response variant carrying it (none for operations
+/// that return nothing), and the request it sends. The decoders build
+/// the variant the operation's shape names, so any other variant is a
+/// decoder bug, reported as a shape error.
+macro_rules! typed_methods {
+    ($( $(#[$doc:meta])* fn $name:ident($($arg:ident: $ty:ty),*) $(-> $ret:ty, $variant:ident)?
+        = $req:expr; )*) => {
+        impl<T: Transport> Client<T> {
+            $( $(#[$doc])*
+            pub fn $name(&mut self, $($arg: $ty),*) -> Result<typed_methods!(@ret $($ret)?)> {
+                let response = self.call(&$req)?;
+                typed_methods!(@take response $($variant)?)
+            } )*
+        }
+    };
+    (@ret) => { () };
+    (@ret $ret:ty) => { $ret };
+    (@take $r:ident) => {
+        match $r {
+            Response::Unit => Ok(()),
+            other => Err(unexpected(other)),
+        }
+    };
+    (@take $r:ident $variant:ident) => {
+        match $r {
+            Response::$variant(x) => Ok(x),
+            other => Err(unexpected(other)),
+        }
+    };
+}
+
+typed_methods! {
     /// Liveness probe.
-    pub fn ping(&mut self) -> Result<()> {
-        self.call("ping", Element::new("a")).map(drop)
-    }
+    fn ping() = Request::Ping;
+    /// [`Client::wait_for_epoch`] against one shard of a partitioned
+    /// server: epochs are per shard, so pair the epoch with the shard the
+    /// write's response named ([`Client::last_shard`]).
+    fn wait_for_epoch_on(shard: usize, epoch: u64) -> u64, DurableEpoch
+        = Request::WaitForEpoch { epoch, shard };
+    /// Fetch the server's read-cache counters (the `cacheStats` op).
+    fn cache_stats() -> CacheStatsReport, CacheStats = Request::CacheStats;
 
     // --- files ---
 
     /// Create a logical file with creation-time attributes.
-    pub fn create_file(&mut self, spec: &FileSpec) -> Result<LogicalFile> {
-        let r = self.call("createFile", Element::new("a").child(filespec_el(spec)))?;
-        Ok(file_from(r.expect("file")?)?)
-    }
-
+    fn create_file(spec: &FileSpec) -> LogicalFile, File
+        = Request::CreateFile { spec: spec.clone() };
     /// Create a batch of logical files in one server-side transaction
     /// (the `createFiles` bulk op): all-or-nothing per shard, results in
     /// input order. One round-trip and one commit replace N of each.
-    pub fn create_files(&mut self, specs: &[FileSpec]) -> Result<Vec<LogicalFile>> {
-        let mut a = Element::new("a");
-        for s in specs {
-            a = a.child(filespec_el(s));
-        }
-        let r = self.call("createFiles", a)?;
-        r.find_all("file").map(|f| Ok(file_from(f)?)).collect()
-    }
-
+    fn create_files(specs: &[FileSpec]) -> Vec<LogicalFile>, Files
+        = Request::CreateFiles { specs: specs.to_vec() };
     /// Fetch a file's predefined metadata (the paper's "simple query").
-    pub fn get_file(&mut self, name: &str) -> Result<LogicalFile> {
-        let r = self.call("getFile", Element::new("a").child(text_el("name", name)))?;
-        Ok(file_from(r.expect("file")?)?)
-    }
-
+    fn get_file(name: &str) -> LogicalFile, File = Request::GetFile { name: name.into() };
     /// Fetch one version of a file.
-    pub fn get_file_version(&mut self, name: &str, version: i64) -> Result<LogicalFile> {
-        let r = self.call(
-            "getFileVersion",
-            Element::new("a")
-                .child(text_el("name", name))
-                .child(text_el("version", version.to_string())),
-        )?;
-        Ok(file_from(r.expect("file")?)?)
-    }
-
+    fn get_file_version(name: &str, version: i64) -> LogicalFile, File
+        = Request::GetFileVersion { name: name.into(), version };
     /// All versions of a logical name.
-    pub fn get_file_versions(&mut self, name: &str) -> Result<Vec<LogicalFile>> {
-        let r = self.call("getFileVersions", Element::new("a").child(text_el("name", name)))?;
-        r.find_all("file").map(|f| Ok(file_from(f)?)).collect()
-    }
-
+    fn get_file_versions(name: &str) -> Vec<LogicalFile>, Files
+        = Request::GetFileVersions { name: name.into() };
     /// Update predefined attributes.
-    pub fn update_file(&mut self, name: &str, update: &FileUpdate) -> Result<LogicalFile> {
-        let r = self.call(
-            "updateFile",
-            Element::new("a").child(text_el("name", name)).child(fileupdate_el(update)),
-        )?;
-        Ok(file_from(r.expect("file")?)?)
-    }
-
+    fn update_file(name: &str, update: &FileUpdate) -> LogicalFile, File
+        = Request::UpdateFile { name: name.into(), update: update.clone() };
     /// Mark a file invalid.
-    pub fn invalidate_file(&mut self, name: &str) -> Result<()> {
-        self.call("invalidateFile", Element::new("a").child(text_el("name", name))).map(drop)
-    }
-
+    fn invalidate_file(name: &str) = Request::InvalidateFile { name: name.into() };
     /// Delete a file and all its metadata.
-    pub fn delete_file(&mut self, name: &str) -> Result<()> {
-        self.call("deleteFile", Element::new("a").child(text_el("name", name))).map(drop)
-    }
-
+    fn delete_file(name: &str) = Request::DeleteFile { name: name.into() };
     /// Delete one version of a file.
-    pub fn delete_file_version(&mut self, name: &str, version: i64) -> Result<()> {
-        self.call(
-            "deleteFileVersion",
-            Element::new("a")
-                .child(text_el("name", name))
-                .child(text_el("version", version.to_string())),
-        )
-        .map(drop)
-    }
+    fn delete_file_version(name: &str, version: i64)
+        = Request::DeleteFileVersion { name: name.into(), version };
 
     // --- collections ---
 
     /// Create a collection (optionally nested).
-    pub fn create_collection(
-        &mut self,
-        name: &str,
-        parent: Option<&str>,
-        description: &str,
-    ) -> Result<Collection> {
-        let mut a = Element::new("a").child(text_el("name", name));
-        if let Some(p) = parent {
-            a = a.child(text_el("parent", p));
-        }
-        a = a.child(text_el("description", description));
-        let r = self.call("createCollection", a)?;
-        Ok(collection_from(r.expect("collection")?)?)
-    }
-
+    fn create_collection(name: &str, parent: Option<&str>, description: &str)
+        -> Collection, Collection
+        = Request::CreateCollection {
+            name: name.into(),
+            parent: parent.map(str::to_string),
+            description: description.into(),
+        };
     /// Fetch a collection record.
-    pub fn get_collection(&mut self, name: &str) -> Result<Collection> {
-        let r = self.call("getCollection", Element::new("a").child(text_el("name", name)))?;
-        Ok(collection_from(r.expect("collection")?)?)
-    }
-
+    fn get_collection(name: &str) -> Collection, Collection
+        = Request::GetCollection { name: name.into() };
     /// Delete an empty collection.
-    pub fn delete_collection(&mut self, name: &str) -> Result<()> {
-        self.call("deleteCollection", Element::new("a").child(text_el("name", name))).map(drop)
-    }
-
+    fn delete_collection(name: &str) = Request::DeleteCollection { name: name.into() };
     /// List a collection's direct contents.
-    pub fn list_collection(&mut self, name: &str) -> Result<CollectionContents> {
-        let r = self.call("listCollection", Element::new("a").child(text_el("name", name)))?;
-        Ok(collection_contents_from(r.expect("contents")?)?)
-    }
-
+    fn list_collection(name: &str) -> CollectionContents, CollectionContents
+        = Request::ListCollection { name: name.into() };
     /// Move a file into (or out of) a collection.
-    pub fn assign_collection(&mut self, file: &str, collection: Option<&str>) -> Result<()> {
-        let mut a = Element::new("a").child(text_el("file", file));
-        if let Some(c) = collection {
-            a = a.child(text_el("collection", c));
-        }
-        self.call("assignCollection", a).map(drop)
-    }
+    fn assign_collection(file: &str, collection: Option<&str>)
+        = Request::AssignCollection { file: file.into(), collection: collection.map(str::to_string) };
 
     // --- views ---
 
     /// Create a logical view.
-    pub fn create_view(&mut self, name: &str, description: &str) -> Result<View> {
-        let r = self.call(
-            "createView",
-            Element::new("a")
-                .child(text_el("name", name))
-                .child(text_el("description", description)),
-        )?;
-        Ok(view_from(r.expect("view")?)?)
-    }
-
+    fn create_view(name: &str, description: &str) -> View, View
+        = Request::CreateView { name: name.into(), description: description.into() };
     /// Fetch a view record.
-    pub fn get_view(&mut self, name: &str) -> Result<View> {
-        let r = self.call("getView", Element::new("a").child(text_el("name", name)))?;
-        Ok(view_from(r.expect("view")?)?)
-    }
-
+    fn get_view(name: &str) -> View, View = Request::GetView { name: name.into() };
     /// Delete a view.
-    pub fn delete_view(&mut self, name: &str) -> Result<()> {
-        self.call("deleteView", Element::new("a").child(text_el("name", name))).map(drop)
-    }
-
+    fn delete_view(name: &str) = Request::DeleteView { name: name.into() };
     /// Add a member to a view.
-    pub fn add_to_view(&mut self, view: &str, member: &ObjectRef) -> Result<()> {
-        self.call(
-            "addToView",
-            Element::new("a").child(text_el("view", view)).child(objref_el(member)),
-        )
-        .map(drop)
-    }
-
+    fn add_to_view(view: &str, member: &ObjectRef)
+        = Request::AddToView { view: view.into(), member: member.clone() };
     /// Remove a member from a view; true if it was present.
-    pub fn remove_from_view(&mut self, view: &str, member: &ObjectRef) -> Result<bool> {
-        let r = self.call(
-            "removeFromView",
-            Element::new("a").child(text_el("view", view)).child(objref_el(member)),
-        )?;
-        Ok(req_text(&r, "removed")? == "true")
-    }
-
+    fn remove_from_view(view: &str, member: &ObjectRef) -> bool, Removed
+        = Request::RemoveFromView { view: view.into(), member: member.clone() };
     /// List a view's members.
-    pub fn list_view(&mut self, name: &str) -> Result<ViewContents> {
-        let r = self.call("listView", Element::new("a").child(text_el("name", name)))?;
-        Ok(view_contents_from(r.expect("contents")?)?)
-    }
+    fn list_view(name: &str) -> ViewContents, ViewContents
+        = Request::ListView { name: name.into() };
 
     // --- attributes & queries ---
 
     /// Register a user-defined attribute.
-    pub fn define_attribute(
-        &mut self,
-        name: &str,
-        ty: AttrType,
-        description: &str,
-    ) -> Result<()> {
-        self.call(
-            "defineAttribute",
-            Element::new("a")
-                .child(text_el("name", name))
-                .child(text_el("attrType", attr_type_code(ty)))
-                .child(text_el("description", description)),
-        )
-        .map(drop)
-    }
-
+    fn define_attribute(name: &str, ty: AttrType, description: &str)
+        = Request::DefineAttribute { name: name.into(), ty, description: description.into() };
     /// Set (upsert) an attribute on an object.
-    pub fn set_attribute(&mut self, object: &ObjectRef, attr: &Attribute) -> Result<()> {
-        self.call(
-            "setAttribute",
-            Element::new("a").child(objref_el(object)).child(attribute_el(attr)),
-        )
-        .map(drop)
-    }
-
+    fn set_attribute(object: &ObjectRef, attr: &Attribute)
+        = Request::SetAttribute { object: object.clone(), attr: attr.clone() };
     /// Remove an attribute; true if it was present.
-    pub fn remove_attribute(&mut self, object: &ObjectRef, name: &str) -> Result<bool> {
-        let r = self.call(
-            "removeAttribute",
-            Element::new("a").child(objref_el(object)).child(text_el("name", name)),
-        )?;
-        Ok(req_text(&r, "removed")? == "true")
-    }
-
+    fn remove_attribute(object: &ObjectRef, name: &str) -> bool, Removed
+        = Request::RemoveAttribute { object: object.clone(), name: name.into() };
     /// Fetch an object's user-defined attributes.
-    pub fn get_attributes(&mut self, object: &ObjectRef) -> Result<Vec<Attribute>> {
-        let r = self.call("getAttributes", Element::new("a").child(objref_el(object)))?;
-        r.find_all("attribute").map(|a| Ok(attribute_from(a)?)).collect()
-    }
-
+    fn get_attributes(object: &ObjectRef) -> Vec<Attribute>, Attributes
+        = Request::GetAttributes { object: object.clone() };
     /// Attribute-based discovery (the paper's "complex query"). Returns
     /// matching (logical name, version) pairs.
-    pub fn query_by_attributes(&mut self, preds: &[AttrPredicate]) -> Result<Vec<(String, i64)>> {
-        let mut a = Element::new("a");
-        for p in preds {
-            a = a.child(predicate_el(p));
-        }
-        let r = self.call("queryByAttributes", a)?;
-        Ok(hits_from(r.expect("hits")?)?)
-    }
-
-    /// EXPLAIN for [`MetadataCatalogClient::query_by_attributes`]: the
-    /// evaluation plan the server's cost-based planner would choose for
-    /// this conjunction, one human-readable line per step, without
-    /// executing the query.
-    pub fn explain_query(&mut self, preds: &[AttrPredicate]) -> Result<Vec<String>> {
-        let mut a = Element::new("a");
-        for p in preds {
-            a = a.child(predicate_el(p));
-        }
-        let r = self.call("explainQuery", a)?;
-        r.expect("plan")?.find_all("step").map(|s| Ok(s.text_content())).collect()
-    }
+    fn query_by_attributes(preds: &[AttrPredicate]) -> Vec<(String, i64)>, Hits
+        = Request::QueryByAttributes { preds: preds.to_vec() };
+    /// EXPLAIN for [`Client::query_by_attributes`]: the evaluation plan
+    /// the server's cost-based planner would choose for this
+    /// conjunction, one human-readable line per step, without executing
+    /// the query.
+    fn explain_query(preds: &[AttrPredicate]) -> Vec<String>, Plan
+        = Request::ExplainQuery { preds: preds.to_vec() };
 
     // --- annotations, audit, history ---
 
     /// Attach an annotation.
-    pub fn annotate(&mut self, object: &ObjectRef, text: &str) -> Result<()> {
-        self.call(
-            "annotate",
-            Element::new("a").child(objref_el(object)).child(text_el("text", text)),
-        )
-        .map(drop)
-    }
-
+    fn annotate(object: &ObjectRef, text: &str)
+        = Request::Annotate { object: object.clone(), text: text.into() };
     /// Fetch annotations, oldest first.
-    pub fn get_annotations(&mut self, object: &ObjectRef) -> Result<Vec<Annotation>> {
-        let r = self.call("getAnnotations", Element::new("a").child(objref_el(object)))?;
-        r.find_all("annotation").map(|a| Ok(annotation_from(a)?)).collect()
-    }
-
+    fn get_annotations(object: &ObjectRef) -> Vec<Annotation>, Annotations
+        = Request::GetAnnotations { object: object.clone() };
     /// Fetch the audit trail, oldest first.
-    pub fn get_audit_trail(&mut self, object: &ObjectRef) -> Result<Vec<AuditRecord>> {
-        let r = self.call("getAuditTrail", Element::new("a").child(objref_el(object)))?;
-        r.find_all("audit").map(|a| Ok(audit_from(a)?)).collect()
-    }
-
+    fn get_audit_trail(object: &ObjectRef) -> Vec<AuditRecord>, AuditTrail
+        = Request::GetAuditTrail { object: object.clone() };
     /// Enable or disable per-access auditing.
-    pub fn set_audit(&mut self, object: &ObjectRef, enabled: bool) -> Result<()> {
-        self.call(
-            "setAudit",
-            Element::new("a")
-                .child(objref_el(object))
-                .child(text_el("enabled", enabled.to_string())),
-        )
-        .map(drop)
-    }
-
+    fn set_audit(object: &ObjectRef, enabled: bool)
+        = Request::SetAudit { object: object.clone(), enabled };
     /// Append a transformation-history record.
-    pub fn add_history(&mut self, file: &str, description: &str) -> Result<()> {
-        self.call(
-            "addHistory",
-            Element::new("a")
-                .child(text_el("file", file))
-                .child(text_el("description", description)),
-        )
-        .map(drop)
-    }
-
+    fn add_history(file: &str, description: &str)
+        = Request::AddHistory { file: file.into(), description: description.into() };
     /// Fetch a file's transformation history.
-    pub fn get_history(&mut self, file: &str) -> Result<Vec<HistoryRecord>> {
-        let r = self.call("getHistory", Element::new("a").child(text_el("file", file)))?;
-        r.find_all("history").map(|h| Ok(history_from(h)?)).collect()
-    }
+    fn get_history(file: &str) -> Vec<HistoryRecord>, History
+        = Request::GetHistory { file: file.into() };
 
     // --- policy & registries ---
 
     /// Grant a permission.
-    pub fn grant(
-        &mut self,
-        object: &ObjectRef,
-        principal: &str,
-        perm: Permission,
-    ) -> Result<()> {
-        self.call(
-            "grant",
-            Element::new("a")
-                .child(objref_el(object))
-                .child(text_el("principal", principal))
-                .child(text_el("permission", permission_code(perm))),
-        )
-        .map(drop)
-    }
-
+    fn grant(object: &ObjectRef, principal: &str, perm: Permission)
+        = Request::Grant { object: object.clone(), principal: principal.into(), perm };
     /// Revoke a permission.
-    pub fn revoke(
-        &mut self,
-        object: &ObjectRef,
-        principal: &str,
-        perm: Permission,
-    ) -> Result<()> {
-        self.call(
-            "revoke",
-            Element::new("a")
-                .child(objref_el(object))
-                .child(text_el("principal", principal))
-                .child(text_el("permission", permission_code(perm))),
-        )
-        .map(drop)
-    }
-
+    fn revoke(object: &ObjectRef, principal: &str, perm: Permission)
+        = Request::Revoke { object: object.clone(), principal: principal.into(), perm };
     /// Register a metadata writer.
-    pub fn register_user(&mut self, user: &UserRecord) -> Result<()> {
-        self.call("registerUser", Element::new("a").child(user_el(user))).map(drop)
-    }
-
+    fn register_user(user: &UserRecord) = Request::RegisterUser { user: user.clone() };
     /// Fetch a metadata writer by DN.
-    pub fn get_user(&mut self, dn: &str) -> Result<UserRecord> {
-        let r = self.call("getUser", Element::new("a").child(text_el("dn", dn)))?;
-        Ok(user_from(r.expect("user")?)?)
-    }
-
+    fn get_user(dn: &str) -> UserRecord, User = Request::GetUser { dn: dn.into() };
     /// List all metadata writers.
-    pub fn list_users(&mut self) -> Result<Vec<UserRecord>> {
-        let r = self.call("listUsers", Element::new("a"))?;
-        r.find_all("user").map(|u| Ok(user_from(u)?)).collect()
-    }
-
+    fn list_users() -> Vec<UserRecord>, Users = Request::ListUsers;
     /// Register an external catalog pointer.
-    pub fn register_external_catalog(&mut self, cat: &ExternalCatalog) -> Result<()> {
-        self.call("registerExternalCatalog", Element::new("a").child(extcat_el(cat))).map(drop)
-    }
-
+    fn register_external_catalog(catalog: &ExternalCatalog)
+        = Request::RegisterExternalCatalog { catalog: catalog.clone() };
     /// List external catalogs.
-    pub fn list_external_catalogs(&mut self) -> Result<Vec<ExternalCatalog>> {
-        let r = self.call("listExternalCatalogs", Element::new("a"))?;
-        r.find_all("externalCatalog").map(|c| Ok(extcat_from(c)?)).collect()
-    }
+    fn list_external_catalogs() -> Vec<ExternalCatalog>, ExternalCatalogs
+        = Request::ListExternalCatalogs;
 }

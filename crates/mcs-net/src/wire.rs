@@ -11,7 +11,13 @@ use mcs::{
     LogicalFile, ObjectRef, ObjectType, Permission, UserRecord, View, ViewContents,
 };
 use relstore::{Date, DateTime, Time, Value};
+use soapstack::soap::MCS_NS;
 use soapstack::xml::{Element, XmlError};
+use soapstack::Fault;
+
+use crate::client::{CacheStatsReport, CatalogInfoReport, DurabilityMode};
+use crate::dispatch::{bad_arguments, Call, CallScope};
+use crate::ops::{Op, Reply, Request, Response, Shape};
 
 /// Wire-decoding error.
 pub fn shape(msg: impl Into<String>) -> XmlError {
@@ -666,6 +672,391 @@ pub fn hits_from(e: &Element) -> Result<Vec<(String, i64)>> {
             Ok((f.text_content(), v))
         })
         .collect()
+}
+
+// ---------- requests and replies ----------
+
+fn durability_code(mode: DurabilityMode) -> &'static str {
+    match mode {
+        DurabilityMode::Always => "always",
+        DurabilityMode::Group => "group",
+        DurabilityMode::Async => "async",
+    }
+}
+
+fn epoch_list(epochs: &[u64]) -> String {
+    epochs.iter().map(u64::to_string).collect::<Vec<_>>().join(" ")
+}
+
+fn req_num<T: std::str::FromStr>(e: &Element, name: &str) -> Result<T> {
+    req_text(e, name)?.parse().map_err(|_| shape(format!("bad number in <{name}>")))
+}
+
+fn req_epochs(e: &Element, name: &str) -> Result<Vec<u64>> {
+    req_text(e, name)?
+        .split_whitespace()
+        .map(|s| s.parse().map_err(|_| shape(format!("bad epoch in <{name}>"))))
+        .collect()
+}
+
+fn predicates_from(call: &Element) -> Result<Vec<AttrPredicate>> {
+    call.find_all("predicate").map(predicate_from).collect()
+}
+
+/// Encode a call as the method element's argument tree: the credential
+/// first, the operation's arguments after it, and the per-request
+/// options as attributes (`mcs:durability`, `mcs:cache`).
+pub fn call_el(cred: &Credential, scope: CallScope, req: &Request) -> Element {
+    use Request as Q;
+    let mut a = Element::new("a").child(credential_el(cred));
+    if scope.durability.is_some() || scope.cache_bypass {
+        a = a.attr("xmlns:mcs", MCS_NS);
+    }
+    if let Some(mode) = scope.durability {
+        a = a.attr("mcs:durability", durability_code(mode));
+    }
+    if scope.cache_bypass {
+        a = a.attr("mcs:cache", "bypass");
+    }
+    let text = |a: Element, name: &str, v: &str| a.child(text_el(name, v));
+    match req {
+        Q::Ping | Q::CatalogInfo | Q::SyncNow | Q::CacheStats | Q::ListUsers => a,
+        Q::ListExternalCatalogs => a,
+        Q::WaitForEpoch { epoch, shard } => {
+            let a = text(a, "epoch", &epoch.to_string());
+            // shard 0 is the default, left out
+            if *shard > 0 {
+                text(a, "shard", &shard.to_string())
+            } else {
+                a
+            }
+        }
+        Q::CreateFile { spec } => a.child(filespec_el(spec)),
+        Q::CreateFiles { specs } => specs.iter().map(filespec_el).fold(a, Element::child),
+        Q::GetFile { name }
+        | Q::GetFileVersions { name }
+        | Q::InvalidateFile { name }
+        | Q::DeleteFile { name }
+        | Q::GetCollection { name }
+        | Q::DeleteCollection { name }
+        | Q::ListCollection { name }
+        | Q::GetView { name }
+        | Q::DeleteView { name }
+        | Q::ListView { name } => text(a, "name", name),
+        Q::GetFileVersion { name, version } | Q::DeleteFileVersion { name, version } => {
+            text(text(a, "name", name), "version", &version.to_string())
+        }
+        Q::UpdateFile { name, update } => text(a, "name", name).child(fileupdate_el(update)),
+        Q::CreateCollection { name, parent, description } => {
+            text(opt_child(text(a, "name", name), "parent", parent), "description", description)
+        }
+        Q::AssignCollection { file, collection } => {
+            opt_child(text(a, "file", file), "collection", collection)
+        }
+        Q::CreateView { name, description } => {
+            text(text(a, "name", name), "description", description)
+        }
+        Q::AddToView { view, member } | Q::RemoveFromView { view, member } => {
+            text(a, "view", view).child(objref_el(member))
+        }
+        Q::DefineAttribute { name, ty, description } => {
+            let a = text(text(a, "name", name), "attrType", attr_type_code(*ty));
+            text(a, "description", description)
+        }
+        Q::SetAttribute { object, attr } => a.child(objref_el(object)).child(attribute_el(attr)),
+        Q::RemoveAttribute { object, name } => text(a.child(objref_el(object)), "name", name),
+        Q::GetAttributes { object }
+        | Q::GetAnnotations { object }
+        | Q::GetAuditTrail { object } => a.child(objref_el(object)),
+        Q::QueryByAttributes { preds } | Q::ExplainQuery { preds } => {
+            preds.iter().map(predicate_el).fold(a, Element::child)
+        }
+        Q::Annotate { object, text: t } => text(a.child(objref_el(object)), "text", t),
+        Q::SetAudit { object, enabled } => {
+            text(a.child(objref_el(object)), "enabled", &enabled.to_string())
+        }
+        Q::AddHistory { file, description } => {
+            text(text(a, "file", file), "description", description)
+        }
+        Q::GetHistory { file } => text(a, "file", file),
+        Q::Grant { object, principal, perm } | Q::Revoke { object, principal, perm } => {
+            let a = text(a.child(objref_el(object)), "principal", principal);
+            text(a, "permission", permission_code(*perm))
+        }
+        Q::RegisterUser { user } => a.child(user_el(user)),
+        Q::GetUser { dn } => text(a, "dn", dn),
+        Q::RegisterExternalCatalog { catalog } => a.child(extcat_el(catalog)),
+    }
+}
+
+/// Decode the per-request options on a method element. Unknown modes
+/// are rejected rather than ignored.
+fn scope_from(call: &Element) -> std::result::Result<CallScope, Fault> {
+    let bad = |message: String| Fault { code: "soap:Client.BadArguments".into(), message };
+    let durability = match call.attr_value("mcs:durability") {
+        None => None,
+        Some("always") => Some(DurabilityMode::Always),
+        Some("group") => Some(DurabilityMode::Group),
+        Some("async") => Some(DurabilityMode::Async),
+        Some(other) => {
+            return Err(bad(format!(
+                "unknown mcs:durability mode `{other}` (expected always|group|async)"
+            )))
+        }
+    };
+    let cache_bypass = match call.attr_value("mcs:cache") {
+        None => false,
+        Some("bypass") => true,
+        Some(other) => {
+            return Err(bad(format!("unknown mcs:cache mode `{other}` (expected bypass)")))
+        }
+    };
+    Ok(CallScope { durability, cache_bypass })
+}
+
+/// Decode a method element of operation `op` into a [`Call`].
+pub fn call_from(op: Op, call: &Element) -> std::result::Result<Call, Fault> {
+    let scope = scope_from(call)?;
+    let cred = match credential_from(call) {
+        // ping is the one operation that never looked at the caller
+        Err(_) if op == Op::Ping => Credential::new(""),
+        r => r.map_err(bad_arguments)?,
+    };
+    let request = request_from(op, call).map_err(bad_arguments)?;
+    Ok(Call { cred, scope, request })
+}
+
+fn request_from(op: Op, call: &Element) -> Result<Request> {
+    use Request as Q;
+    let name = || req_text(call, "name");
+    let object = || objref_from(call);
+    Ok(match op {
+        Op::Ping => Q::Ping,
+        Op::CatalogInfo => Q::CatalogInfo,
+        Op::WaitForEpoch => {
+            let epoch = req_i64(call, "epoch")?;
+            if epoch < 0 {
+                return Err(shape("epoch must be >= 0"));
+            }
+            // Epochs are per shard; absent means shard 0.
+            let shard = match opt_text(call, "shard") {
+                None => 0,
+                Some(s) => s
+                    .parse()
+                    .map_err(|_| shape("shard must be a non-negative integer"))?,
+            };
+            Q::WaitForEpoch { epoch: epoch as u64, shard }
+        }
+        Op::SyncNow => Q::SyncNow,
+        Op::CacheStats => Q::CacheStats,
+        Op::CreateFile => Q::CreateFile { spec: filespec_from(call.expect("fileSpec")?)? },
+        Op::CreateFiles => Q::CreateFiles {
+            specs: call.find_all("fileSpec").map(filespec_from).collect::<Result<_>>()?,
+        },
+        Op::GetFile => Q::GetFile { name: name()? },
+        Op::GetFileVersion => {
+            Q::GetFileVersion { name: name()?, version: req_i64(call, "version")? }
+        }
+        Op::GetFileVersions => Q::GetFileVersions { name: name()? },
+        Op::UpdateFile => Q::UpdateFile {
+            name: name()?,
+            update: fileupdate_from(call.expect("fileUpdate")?)?,
+        },
+        Op::InvalidateFile => Q::InvalidateFile { name: name()? },
+        Op::DeleteFile => Q::DeleteFile { name: name()? },
+        Op::DeleteFileVersion => {
+            Q::DeleteFileVersion { name: name()?, version: req_i64(call, "version")? }
+        }
+        Op::CreateCollection => Q::CreateCollection {
+            name: name()?,
+            parent: opt_text(call, "parent"),
+            description: opt_text(call, "description").unwrap_or_default(),
+        },
+        Op::GetCollection => Q::GetCollection { name: name()? },
+        Op::DeleteCollection => Q::DeleteCollection { name: name()? },
+        Op::ListCollection => Q::ListCollection { name: name()? },
+        Op::AssignCollection => Q::AssignCollection {
+            file: req_text(call, "file")?,
+            collection: opt_text(call, "collection"),
+        },
+        Op::CreateView => Q::CreateView {
+            name: name()?,
+            description: opt_text(call, "description").unwrap_or_default(),
+        },
+        Op::GetView => Q::GetView { name: name()? },
+        Op::DeleteView => Q::DeleteView { name: name()? },
+        Op::AddToView => Q::AddToView { view: req_text(call, "view")?, member: object()? },
+        Op::RemoveFromView => {
+            Q::RemoveFromView { view: req_text(call, "view")?, member: object()? }
+        }
+        Op::ListView => Q::ListView { name: name()? },
+        Op::DefineAttribute => Q::DefineAttribute {
+            name: name()?,
+            ty: attr_type_from(&req_text(call, "attrType")?)?,
+            description: opt_text(call, "description").unwrap_or_default(),
+        },
+        Op::SetAttribute => Q::SetAttribute {
+            object: object()?,
+            attr: attribute_from(call.expect("attribute")?)?,
+        },
+        Op::RemoveAttribute => Q::RemoveAttribute { object: object()?, name: name()? },
+        Op::GetAttributes => Q::GetAttributes { object: object()? },
+        Op::QueryByAttributes => Q::QueryByAttributes { preds: predicates_from(call)? },
+        Op::ExplainQuery => Q::ExplainQuery { preds: predicates_from(call)? },
+        Op::Annotate => Q::Annotate { object: object()?, text: req_text(call, "text")? },
+        Op::GetAnnotations => Q::GetAnnotations { object: object()? },
+        Op::GetAuditTrail => Q::GetAuditTrail { object: object()? },
+        Op::SetAudit => Q::SetAudit { object: object()?, enabled: req_bool(call, "enabled")? },
+        Op::AddHistory => Q::AddHistory {
+            file: req_text(call, "file")?,
+            description: req_text(call, "description")?,
+        },
+        Op::GetHistory => Q::GetHistory { file: req_text(call, "file")? },
+        Op::Grant | Op::Revoke => {
+            let object = object()?;
+            let principal = req_text(call, "principal")?;
+            let perm = permission_from(&req_text(call, "permission")?)?;
+            if op == Op::Grant {
+                Q::Grant { object, principal, perm }
+            } else {
+                Q::Revoke { object, principal, perm }
+            }
+        }
+        Op::RegisterUser => Q::RegisterUser { user: user_from(call.expect("user")?)? },
+        Op::GetUser => Q::GetUser { dn: req_text(call, "dn")? },
+        Op::ListUsers => Q::ListUsers,
+        Op::RegisterExternalCatalog => Q::RegisterExternalCatalog {
+            catalog: extcat_from(call.expect("externalCatalog")?)?,
+        },
+        Op::ListExternalCatalogs => Q::ListExternalCatalogs,
+    })
+}
+
+/// Encode a successful reply as the response element's content. The
+/// commit epoch rides as attributes, with the shard named only when the
+/// serving catalog has more than one (`shards`).
+pub fn reply_el(reply: &Reply, shards: usize) -> Element {
+    use Response as R;
+    let mut r = Element::new("r");
+    if reply.epoch > 0 {
+        r = r.attr("xmlns:mcs", MCS_NS).attr("mcs:epoch", reply.epoch.to_string());
+        if shards > 1 {
+            r = r.attr("mcs:shard", reply.shard.to_string());
+        }
+    }
+    let text = |r: Element, name: &str, v: String| r.child(text_el(name, v));
+    let fields = |r, kv: Vec<(&str, String)>| kv.into_iter().fold(r, |r, (k, v)| text(r, k, v));
+    match &reply.response {
+        R::Unit => r.child(Element::new("ok")),
+        R::Removed(b) => text(r, "removed", b.to_string()),
+        R::File(f) => r.child(file_el(f)),
+        R::Files(fs) => fs.iter().map(file_el).fold(r, Element::child),
+        R::Collection(c) => r.child(collection_el(c)),
+        R::CollectionContents(c) => r.child(collection_contents_el(c)),
+        R::View(v) => r.child(view_el(v)),
+        R::ViewContents(c) => r.child(view_contents_el(c)),
+        R::Attributes(a) => a.iter().map(attribute_el).fold(r, Element::child),
+        R::Hits(h) => r.child(hits_el(h)),
+        R::Plan(steps) => {
+            r.child(steps.iter().fold(Element::new("plan"), |p, s| text(p, "step", s.clone())))
+        }
+        R::Annotations(a) => a.iter().map(annotation_el).fold(r, Element::child),
+        R::AuditTrail(a) => a.iter().map(audit_el).fold(r, Element::child),
+        R::History(h) => h.iter().map(history_el).fold(r, Element::child),
+        R::User(u) => r.child(user_el(u)),
+        R::Users(us) => us.iter().map(user_el).fold(r, Element::child),
+        R::ExternalCatalogs(cs) => cs.iter().map(extcat_el).fold(r, Element::child),
+        R::CatalogInfo { report, commit_epochs, durable_epochs } => fields(r, vec![
+            ("shards", report.shards.to_string()),
+            ("profile", report.profile.clone()),
+            ("files", report.files.to_string()),
+            ("cacheEnabled", report.cache_enabled.to_string()),
+            ("commitEpochs", epoch_list(commit_epochs)),
+            ("durableEpochs", epoch_list(durable_epochs)),
+        ]),
+        R::DurableEpoch(e) => text(r, "durableEpoch", e.to_string()),
+        R::Synced(epochs) => {
+            let mut kv = vec![("durableEpoch", epochs[0].to_string())];
+            if epochs.len() > 1 {
+                kv.push(("shards", epochs.len().to_string()));
+                kv.push(("shardEpochs", epoch_list(epochs)));
+            }
+            fields(r, kv)
+        }
+        R::CacheStats(s) => {
+            let mut kv = vec![
+                ("enabled", s.enabled.to_string()),
+                ("hits", s.hits.to_string()),
+                ("misses", s.misses.to_string()),
+                ("stale", s.stale.to_string()),
+                ("evictions", s.evictions.to_string()),
+            ];
+            if shards > 1 {
+                kv.push(("shards", shards.to_string()));
+            }
+            fields(r, kv)
+        }
+    }
+}
+
+/// Decode a response element into a reply of the given shape.
+pub fn reply_from(shape_of: Shape, r: &Element) -> Result<Reply> {
+    use Response as R;
+    fn each<T>(r: &Element, name: &str, f: fn(&Element) -> Result<T>) -> Result<Vec<T>> {
+        r.find_all(name).map(f).collect()
+    }
+    let response = match shape_of {
+        Shape::Unit => R::Unit,
+        Shape::Removed => R::Removed(req_bool(r, "removed")?),
+        Shape::File => R::File(file_from(r.expect("file")?)?),
+        Shape::Files => R::Files(each(r, "file", file_from)?),
+        Shape::Collection => R::Collection(collection_from(r.expect("collection")?)?),
+        Shape::CollectionContents => {
+            R::CollectionContents(collection_contents_from(r.expect("contents")?)?)
+        }
+        Shape::View => R::View(view_from(r.expect("view")?)?),
+        Shape::ViewContents => R::ViewContents(view_contents_from(r.expect("contents")?)?),
+        Shape::Attributes => R::Attributes(each(r, "attribute", attribute_from)?),
+        Shape::Hits => R::Hits(hits_from(r.expect("hits")?)?),
+        Shape::Plan => R::Plan(r.expect("plan")?.find_all("step").map(|s| s.text_content()).collect()),
+        Shape::Annotations => R::Annotations(each(r, "annotation", annotation_from)?),
+        Shape::AuditTrail => R::AuditTrail(each(r, "audit", audit_from)?),
+        Shape::History => R::History(each(r, "history", history_from)?),
+        Shape::User => R::User(user_from(r.expect("user")?)?),
+        Shape::Users => R::Users(each(r, "user", user_from)?),
+        Shape::ExternalCatalogs => R::ExternalCatalogs(each(r, "externalCatalog", extcat_from)?),
+        Shape::CatalogInfo => R::CatalogInfo {
+            report: CatalogInfoReport {
+                shards: req_num(r, "shards")?,
+                profile: req_text(r, "profile")?,
+                files: req_num(r, "files")?,
+                cache_enabled: req_bool(r, "cacheEnabled")?,
+            },
+            commit_epochs: req_epochs(r, "commitEpochs")?,
+            durable_epochs: req_epochs(r, "durableEpochs")?,
+        },
+        Shape::DurableEpoch => R::DurableEpoch(req_num(r, "durableEpoch")?),
+        Shape::Synced => match r.find("shardEpochs") {
+            Some(_) => R::Synced(req_epochs(r, "shardEpochs")?),
+            None => R::Synced(vec![req_num(r, "durableEpoch")?]),
+        },
+        Shape::CacheStats => R::CacheStats(CacheStatsReport {
+            enabled: req_bool(r, "enabled")?,
+            hits: req_num(r, "hits")?,
+            misses: req_num(r, "misses")?,
+            stale: req_num(r, "stale")?,
+            evictions: req_num(r, "evictions")?,
+        }),
+    };
+    // Writes echo the commit epoch of whatever they logged, and the
+    // shard it landed on when the server is partitioned.
+    let epoch = r.attr_value("mcs:epoch").map(str::parse).transpose();
+    let shard = r.attr_value("mcs:shard").map(str::parse).transpose();
+    Ok(Reply {
+        response,
+        epoch: epoch.map_err(|_| shape("bad mcs:epoch"))?.unwrap_or(0),
+        shard: shard.map_err(|_| shape("bad mcs:shard"))?.unwrap_or(0),
+    })
 }
 
 #[cfg(test)]

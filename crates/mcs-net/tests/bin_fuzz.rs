@@ -14,13 +14,13 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
-use mcs::{Credential, FileSpec, IndexProfile, ManualClock, ShardedCatalog};
+use mcs::{Credential, FileSpec, IndexProfile, ManualClock, ObjectRef, ShardedCatalog};
 use mcs_net::binproto::frame::{
     self, read_frame, read_preamble, write_frame, write_preamble, Reader, MAGIC, STATUS_FAULT,
     VERSION,
 };
 use mcs_net::binproto::BinServer;
-use mcs_net::BinMcsClient;
+use mcs_net::{BinMcsClient, FaultKind, NetError, Request, Response};
 
 /// xorshift64 — deterministic, seedable, no dependencies.
 struct Rng(u64);
@@ -340,4 +340,63 @@ fn random_bytes_through_record_decoders_never_panic() {
             "truncation at {cut} must error, not succeed"
         );
     }
+}
+
+#[test]
+fn oversized_result_is_a_fault_and_the_connection_survives() {
+    // Three annotations of 6 MiB each: every request fits in a frame,
+    // the 18 MiB answer to getAnnotations does not.
+    let server = start_server();
+    let mut c = BinMcsClient::connect(server.addr().to_string(), admin());
+    c.create_file(&FileSpec::named("big.dat")).unwrap();
+    let obj = ObjectRef::File("big.dat".into());
+    let text = "x".repeat(6 << 20);
+    for _ in 0..3 {
+        c.annotate(&obj, &text).unwrap();
+    }
+    let err = c.get_annotations(&obj).unwrap_err();
+    assert!(err.is(FaultKind::Internal), "{err}");
+    assert!(err.to_string().contains(&frame::MAX_FRAME.to_string()), "{err}");
+    // The same connection keeps serving.
+    c.ping().unwrap();
+    assert_eq!(server.stats().connections.load(std::sync::atomic::Ordering::Relaxed), 1);
+}
+
+#[test]
+fn oversized_request_is_refused_before_sending() {
+    // A request whose frame would exceed the limit fails on the client
+    // with nothing written, so neither the connection nor a pipelined
+    // request already in flight on it is lost, and it is never retried.
+    let server = start_server();
+    let mut c = BinMcsClient::connect(server.addr().to_string(), admin());
+    let huge = "x".repeat(frame::MAX_FRAME as usize);
+    c.send(&Request::Ping).unwrap();
+    let err = c.send(&Request::GetFile { name: huge.clone() }).unwrap_err();
+    assert!(matches!(err, NetError::TooLarge(n) if n > frame::MAX_FRAME as usize), "{err:?}");
+    assert_eq!(c.inflight(), 1);
+    assert!(matches!(c.recv().unwrap(), Response::Unit));
+    let err = c.get_file(&huge).unwrap_err();
+    assert!(matches!(err, NetError::TooLarge(_)), "{err:?}");
+    c.ping().unwrap();
+    server.stats().assert_single_connection(2, "binary client refusing oversized requests");
+}
+
+#[test]
+fn malformed_response_payload_is_a_typed_error() {
+    // A peer answering cacheStats with a truncated payload: the client
+    // reports a shape error, as it does for a malformed SOAP response.
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let peer = std::thread::spawn(move || {
+        let (mut s, _) = listener.accept().unwrap();
+        read_preamble(&mut s).unwrap();
+        write_preamble(&mut s).unwrap();
+        let mut b = read_frame(&mut s).unwrap().unwrap()[..4].to_vec(); // the tag
+        b.extend_from_slice(&[frame::STATUS_OK, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1]); // echo, then
+        write_frame(&mut s, &b).unwrap(); // only the `enabled` flag
+        let _ = s.read(&mut [0u8; 1]); // hold the socket until the client is done
+    });
+    let err = BinMcsClient::connect(addr, admin()).cache_stats().unwrap_err();
+    assert!(matches!(err, NetError::Shape(_)), "{err:?}");
+    peer.join().unwrap();
 }

@@ -4,7 +4,7 @@
 //!
 //! The assertions are the pipelining contract:
 //! * responses come back strictly in send order per connection (every
-//!   `recv_*` checks the payload matches what that queue slot asked for,
+//!   `recv` checks the payload matches what that queue slot asked for,
 //!   and the client itself faults on any tag mismatch);
 //! * no commit is lost or duplicated — the multiset of epoch echoes
 //!   collected across all clients is exactly the dense range the
@@ -19,7 +19,7 @@ use mcs::{
     AttrType, Attribute, Credential, FileSpec, IndexProfile, ManualClock, ObjectRef,
     ShardedCatalog,
 };
-use mcs_net::{BinMcsClient, BinServer};
+use mcs_net::{BinMcsClient, BinServer, Request, Response};
 use relstore::Value;
 
 const CLIENTS: usize = 8;
@@ -83,27 +83,27 @@ fn pipelined_clients_stress() {
                                 serial += 1;
                                 let spec =
                                     FileSpec::named(&name).attr("run", (t * 1000 + serial) as i64);
-                                c.send_create_file(&spec).unwrap();
+                                c.send(&Request::CreateFile { spec }).unwrap();
                                 expects.push(Expect::File(name.clone()));
                                 created.push(name);
                             }
                             // A read of an already-acknowledged file.
                             1 => {
                                 let name = created[(issued + j) % created.len()].clone();
-                                c.send_get_file(&name).unwrap();
+                                c.send(&Request::GetFile { name: name.clone() }).unwrap();
                                 expects.push(Expect::File(name));
                             }
                             // Another write shape: attribute upsert on an
                             // acknowledged file.
                             _ => {
                                 let name = created[(issued + j) % created.len()].clone();
-                                c.send_set_attribute(
-                                    &ObjectRef::File(name),
-                                    &Attribute {
+                                c.send(&Request::SetAttribute {
+                                    object: ObjectRef::File(name),
+                                    attr: Attribute {
                                         name: "run".into(),
                                         value: Value::Int(j as i64),
                                     },
-                                )
+                                })
                                 .unwrap();
                                 expects.push(Expect::Ok);
                             }
@@ -115,12 +115,15 @@ fn pipelined_clients_stress() {
                     for e in expects {
                         match e {
                             Expect::File(name) => {
-                                let f = c.recv_file().unwrap_or_else(|err| {
-                                    panic!("client {t}: lost response for {name}: {err}")
-                                });
+                                let f = match c.recv() {
+                                    Ok(Response::File(f)) => f,
+                                    other => panic!(
+                                        "client {t}: lost response for {name}: {other:?}"
+                                    ),
+                                };
                                 assert_eq!(f.name, name, "client {t}: out-of-order response");
                             }
-                            Expect::Ok => c.recv_ok().unwrap(),
+                            Expect::Ok => assert_eq!(c.recv().unwrap(), Response::Unit),
                         }
                         if c.last_epoch() > 0 {
                             commits.push((c.last_shard(), c.last_epoch()));

@@ -287,3 +287,24 @@ fn explain_query_over_the_wire() {
     // Empty predicate lists fault, like the query itself.
     assert!(c.explain_query(&[]).is_err());
 }
+
+#[test]
+fn malformed_numbers_in_a_response_are_a_typed_error() {
+    // A server answering with non-numbers where counters belong: the
+    // client must report a shape error, not read the field as 0.
+    use soapstack::server::{HttpServer, SoapDispatcher};
+    use soapstack::xml::Element;
+    let fields = |kv: &[(&str, &str)]| {
+        kv.iter().fold(Element::new("r"), |r, (k, v)| r.child(Element::new(*k).text(*v)))
+    };
+    let counters = [("hits", "lots"), ("misses", "1"), ("stale", "0"), ("evictions", "0")];
+    let stats = fields(&[&[("enabled", "true")][..], &counters].concat());
+    let synced = fields(&[("durableEpoch", "soon")]);
+    let mut d = SoapDispatcher::new();
+    d.register("cacheStats", move |_| Ok(stats.clone()));
+    d.register("syncNow", move |_| Ok(synced.clone()));
+    let server = HttpServer::start("127.0.0.1:0", Arc::new(d), 1).unwrap();
+    let mut c = McsClient::connect(server.addr().to_string(), admin());
+    assert!(matches!(c.cache_stats(), Err(mcs_net::NetError::Shape(_))));
+    assert!(matches!(c.sync_now(), Err(mcs_net::NetError::Shape(_))));
+}

@@ -2,8 +2,9 @@
 //! allowed to exist because it is *provably* the same service as SOAP.
 //! Two identical catalogs (same seed data, same deterministic clock)
 //! are put behind the two front ends — a keep-alive SOAP server and a
-//! binary-protocol server — and a seeded ~400-step mixed operation
-//! stream is replayed through both typed clients in lockstep. After
+//! binary-protocol server — and a seeded ~400-step mixed stream of
+//! `Request`s is replayed through both clients in lockstep, by one
+//! function generic over the client's transport. After
 //! every step the two results must be byte-identical (`{:?}` of the
 //! full `Result`, so success payloads *and* errors), and the
 //! epoch/shard echoes must match; at the end the audit trails, file
@@ -15,7 +16,6 @@
 //! property. Reproduce a CI failure with
 //! `MCS_WIRE_SEED=<seed> cargo test -p mcs-net --test wire_twin`.
 
-use std::fmt::Debug;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
@@ -24,8 +24,8 @@ use mcs::{
     AttrOp, AttrPredicate, AttrType, Attribute, CacheConfig, Credential, FileSpec, FileUpdate,
     IndexProfile, ManualClock, ObjectRef, ShardedCatalog,
 };
-use mcs_net::client::DurabilityMode;
-use mcs_net::{BinMcsClient, BinServer, McsClient, McsServer};
+use mcs_net::client::{Client, DurabilityMode, Transport};
+use mcs_net::{BinMcsClient, BinServer, McsClient, McsServer, Request};
 use relstore::Value;
 use soapstack::TransportOpts;
 
@@ -53,10 +53,6 @@ impl Rng {
 
 fn admin() -> Credential {
     Credential::new("/O=Grid/CN=admin")
-}
-
-fn norm<T: Debug>(r: &mcs_net::client::Result<T>) -> String {
-    format!("{r:?}")
 }
 
 fn file_name(i: u64) -> String {
@@ -132,42 +128,20 @@ fn build_catalog(cfg: &Config) -> Arc<ShardedCatalog> {
     )
 }
 
-/// Run the same operation against both clients and require
-/// byte-identical outcomes and identical epoch/shard echoes. The op is
-/// written once as `|c: &mut _| expr` and expanded twice, binding `c`
-/// to each concrete client in turn — no closure, so each expansion
-/// resolves methods on its own client type.
-macro_rules! twin {
-    ($cfg:expr, $seed:expr, $step:expr, $soap:expr, $bin:expr, $what:expr,
-     |$c:ident: &mut _| $body:expr) => {{
-        let a = {
-            let $c = &mut *$soap;
-            $body
-        };
-        let b = {
-            let $c = &mut *$bin;
-            $body
-        };
-        assert_eq!(
-            norm(&a),
-            norm(&b),
-            "config {} seed {} step {}: SOAP and binary diverged on {}",
-            $cfg.tag,
-            $seed,
-            $step,
-            $what
-        );
-        assert_eq!(
-            ($soap.last_epoch(), $soap.last_shard()),
-            ($bin.last_epoch(), $bin.last_shard()),
-            "config {} seed {} step {}: epoch/shard echo diverged on {}",
-            $cfg.tag,
-            $seed,
-            $step,
-            $what
-        );
-        a
-    }};
+/// One call's observable outcome on one client: the full `Result`
+/// (success payload or error) and the epoch/shard echo.
+fn outcome<T: Transport>(c: &mut Client<T>, req: &Request) -> String {
+    let r = c.call(req);
+    format!("{r:?}, echo (epoch {}, shard {})", c.last_epoch(), c.last_shard())
+}
+
+/// Run the same request on both clients and require byte-identical
+/// outcomes. Returns whether it succeeded.
+fn twin(at: &str, soap: &mut McsClient, bin: &mut BinMcsClient, req: Request) -> bool {
+    let a = outcome(soap, &req);
+    let what = req.op().name();
+    assert_eq!(a, outcome(bin, &req), "{at}: SOAP and binary diverged on {what}");
+    a.starts_with("Ok")
 }
 
 fn check_case(cfg: &Config, seed: u64) {
@@ -193,107 +167,96 @@ fn check_case(cfg: &Config, seed: u64) {
 
     let mut rng = Rng::new(seed);
     for step in 0..400 {
+        let at = format!("config {} seed {seed} step {step}", cfg.tag);
+        let twin = |soap: &mut McsClient, bin: &mut BinMcsClient, req| twin(&at, soap, bin, req);
         match rng.below(20) {
             // 0–3: create one file (AlreadyExists churn included).
             0..=3 => {
                 let spec = random_spec(&mut rng);
-                let _ = twin!(cfg, seed, step, &mut soap, &mut bin, "createFile", |c: &mut _| c
-                    .create_file(&spec));
+                twin(&mut soap, &mut bin, Request::CreateFile { spec });
             }
             // 4–5: the bulk mutation, 2–5 specs per batch. Duplicate
             // names inside a batch exercise the all-or-nothing abort.
             4..=5 => {
                 let n = 2 + rng.below(4);
                 let specs: Vec<FileSpec> = (0..n).map(|_| random_spec(&mut rng)).collect();
-                let _ = twin!(cfg, seed, step, &mut soap, &mut bin, "createFiles", |c: &mut _| c
-                    .create_files(&specs));
+                twin(&mut soap, &mut bin, Request::CreateFiles { specs });
             }
             // 6–8: simple queries.
             6..=8 => {
                 let name = file_name(rng.below(40));
-                let _ = twin!(cfg, seed, step, &mut soap, &mut bin, "getFile", |c: &mut _| c
-                    .get_file(&name));
+                twin(&mut soap, &mut bin, Request::GetFile { name });
             }
             9 => {
                 let name = file_name(rng.below(40));
                 let version = rng.below(3) as i64;
-                let _ = twin!(cfg, seed, step, &mut soap, &mut bin, "getFileVersion", |c: &mut _| c
-                    .get_file_version(&name, version));
+                twin(&mut soap, &mut bin, Request::GetFileVersion { name, version });
             }
             // 10: metadata update.
             10 => {
                 let name = file_name(rng.below(40));
-                let upd = FileUpdate { data_type: Some(format!("t{}", rng.below(3))), ..FileUpdate::default() };
-                let _ = twin!(cfg, seed, step, &mut soap, &mut bin, "updateFile", |c: &mut _| c
-                    .update_file(&name, &upd));
+                let update = FileUpdate {
+                    data_type: Some(format!("t{}", rng.below(3))),
+                    ..FileUpdate::default()
+                };
+                twin(&mut soap, &mut bin, Request::UpdateFile { name, update });
             }
             // 11: attribute churn.
             11 => {
-                let obj = ObjectRef::File(file_name(rng.below(40)));
+                let object = ObjectRef::File(file_name(rng.below(40)));
                 if rng.below(3) == 0 {
                     let name = ["run", "site", "quality"][rng.below(3) as usize].to_string();
-                    let _ = twin!(cfg, seed, step, &mut soap, &mut bin, "removeAttribute", |c: &mut _| c
-                        .remove_attribute(&obj, &name));
+                    twin(&mut soap, &mut bin, Request::RemoveAttribute { object, name });
                 } else {
                     let p = random_pred(&mut rng);
                     let attr = Attribute { name: p.name, value: p.value };
-                    let _ = twin!(cfg, seed, step, &mut soap, &mut bin, "setAttribute", |c: &mut _| c
-                        .set_attribute(&obj, &attr));
+                    twin(&mut soap, &mut bin, Request::SetAttribute { object, attr });
                 }
             }
             // 12: deletes and invalidations.
             12 => {
                 let name = file_name(rng.below(40));
                 if rng.below(2) == 0 {
-                    let _ = twin!(cfg, seed, step, &mut soap, &mut bin, "deleteFile", |c: &mut _| c
-                        .delete_file(&name));
+                    twin(&mut soap, &mut bin, Request::DeleteFile { name });
                 } else {
-                    let _ = twin!(cfg, seed, step, &mut soap, &mut bin, "invalidateFile", |c: &mut _| c
-                        .invalidate_file(&name));
+                    twin(&mut soap, &mut bin, Request::InvalidateFile { name });
                 }
             }
             // 13–14: discovery, planned and explained.
             13..=14 => {
                 let n = 1 + rng.below(3);
                 let preds: Vec<AttrPredicate> = (0..n).map(|_| random_pred(&mut rng)).collect();
-                let _ = twin!(cfg, seed, step, &mut soap, &mut bin, "queryByAttributes", |c: &mut _| c
-                    .query_by_attributes(&preds));
-                let _ = twin!(cfg, seed, step, &mut soap, &mut bin, "explainQuery", |c: &mut _| c
-                    .explain_query(&preds));
+                twin(&mut soap, &mut bin, Request::QueryByAttributes { preds: preds.clone() });
+                twin(&mut soap, &mut bin, Request::ExplainQuery { preds });
             }
             // 15: collection membership.
             15 => {
-                let name = file_name(rng.below(40));
-                let coll = if rng.below(3) == 0 {
+                let file = file_name(rng.below(40));
+                let collection = if rng.below(3) == 0 {
                     None
                 } else {
                     Some(format!("c{}", rng.below(2)))
                 };
-                let _ = twin!(cfg, seed, step, &mut soap, &mut bin, "assignCollection", |c: &mut _| c
-                    .assign_collection(&name, coll.as_deref()));
+                twin(&mut soap, &mut bin, Request::AssignCollection { file, collection });
             }
             16 => {
-                let coll = format!("c{}", rng.below(2));
-                let _ = twin!(cfg, seed, step, &mut soap, &mut bin, "listCollection", |c: &mut _| c
-                    .list_collection(&coll));
+                let name = format!("c{}", rng.below(2));
+                twin(&mut soap, &mut bin, Request::ListCollection { name });
             }
             // 17: annotations and audit toggles.
             17 => {
-                let obj = ObjectRef::File(file_name(rng.below(40)));
+                let object = ObjectRef::File(file_name(rng.below(40)));
                 match rng.below(3) {
                     0 => {
                         let text = format!("note {}", rng.below(100));
-                        let _ = twin!(cfg, seed, step, &mut soap, &mut bin, "annotate", |c: &mut _| c
-                            .annotate(&obj, &text));
+                        twin(&mut soap, &mut bin, Request::Annotate { object, text });
                     }
                     1 => {
                         let enabled = rng.below(2) == 0;
-                        let _ = twin!(cfg, seed, step, &mut soap, &mut bin, "setAudit", |c: &mut _| c
-                            .set_audit(&obj, enabled));
+                        twin(&mut soap, &mut bin, Request::SetAudit { object, enabled });
                     }
                     _ => {
-                        let _ = twin!(cfg, seed, step, &mut soap, &mut bin, "getAnnotations", |c: &mut _| c
-                            .get_annotations(&obj));
+                        twin(&mut soap, &mut bin, Request::GetAnnotations { object });
                     }
                 }
             }
@@ -310,9 +273,8 @@ fn check_case(cfg: &Config, seed: u64) {
                 soap.set_durability(Some(mode));
                 bin.set_durability(Some(mode));
                 let spec = random_spec(&mut rng);
-                let r = twin!(cfg, seed, step, &mut soap, &mut bin, "createFile@durability", |c: &mut _| c
-                    .create_file(&spec));
-                if r.is_ok() && soap.last_epoch() > 0 {
+                let ok = twin(&mut soap, &mut bin, Request::CreateFile { spec });
+                if ok && soap.last_epoch() > 0 {
                     let (epoch, shard) = (soap.last_epoch(), soap.last_shard());
                     let ws = soap.wait_for_epoch_on(shard, epoch).unwrap();
                     let wb = bin.wait_for_epoch_on(shard, epoch).unwrap();
@@ -330,8 +292,7 @@ fn check_case(cfg: &Config, seed: u64) {
                 soap.set_cache_bypass(true);
                 bin.set_cache_bypass(true);
                 let name = file_name(rng.below(40));
-                let _ = twin!(cfg, seed, step, &mut soap, &mut bin, "getFile@bypass", |c: &mut _| c
-                    .get_file(&name));
+                twin(&mut soap, &mut bin, Request::GetFile { name });
                 soap.set_cache_bypass(false);
                 bin.set_cache_bypass(false);
             }
@@ -347,22 +308,21 @@ fn check_case(cfg: &Config, seed: u64) {
 
     // Final sweep: every file's state, history and audit trail, plus
     // the topology report, must agree byte for byte.
+    let at = format!("config {} seed {seed} final sweep", cfg.tag);
     for i in 0..40 {
         let name = file_name(i);
-        let obj = ObjectRef::File(name.clone());
-        let _ = twin!(cfg, seed, 400, &mut soap, &mut bin, "sweep getFile", |c: &mut _| c
-            .get_file(&name));
-        let _ = twin!(cfg, seed, 400, &mut soap, &mut bin, "sweep getFileVersions", |c: &mut _| c
-            .get_file_versions(&name));
-        let _ = twin!(cfg, seed, 400, &mut soap, &mut bin, "sweep getAttributes", |c: &mut _| c
-            .get_attributes(&obj));
-        let _ = twin!(cfg, seed, 400, &mut soap, &mut bin, "sweep getAuditTrail", |c: &mut _| c
-            .get_audit_trail(&obj));
-        let _ = twin!(cfg, seed, 400, &mut soap, &mut bin, "sweep getAnnotations", |c: &mut _| c
-            .get_annotations(&obj));
+        let object = ObjectRef::File(name.clone());
+        for req in [
+            Request::GetFile { name: name.clone() },
+            Request::GetFileVersions { name },
+            Request::GetAttributes { object: object.clone() },
+            Request::GetAuditTrail { object: object.clone() },
+            Request::GetAnnotations { object },
+        ] {
+            twin(&at, &mut soap, &mut bin, req);
+        }
     }
-    let _ = twin!(cfg, seed, 400, &mut soap, &mut bin, "sweep catalogInfo", |c: &mut _| c
-        .catalog_info());
+    twin(&at, &mut soap, &mut bin, Request::CatalogInfo);
 
     // Both persistent clients must have held exactly one connection for
     // the whole run — the twin suite doubles as the keep-alive witness

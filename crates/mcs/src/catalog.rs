@@ -1080,7 +1080,7 @@ impl Mcs {
 }
 
 /// Partial update of a logical file's predefined attributes.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FileUpdate {
     /// New data type.
     pub data_type: Option<String>,

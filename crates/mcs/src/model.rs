@@ -393,7 +393,7 @@ pub struct ExternalCatalog {
 }
 
 /// Request to create a logical file.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FileSpec {
     /// Logical name (required).
     pub name: String,

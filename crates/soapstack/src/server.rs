@@ -2,11 +2,12 @@
 //! stand-in hosting the MCS service).
 
 use std::collections::HashMap;
-use std::io::{BufReader, BufWriter};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufReader, BufWriter, Read};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use crate::http::{read_request, write_response, Request, Response};
 use crate::soap::{self, Fault};
@@ -56,8 +57,10 @@ impl ServerStats {
     }
 }
 
-/// A running HTTP server; dropping it shuts it down.
-pub struct HttpServer {
+/// A TCP accept loop feeding each accepted connection to one worker of
+/// a fixed pool; dropping it shuts it down. The HTTP server
+/// ([`TcpServer::start`]) and the binary catalog protocol both run on it.
+pub struct TcpServer {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
     accept_thread: Option<JoinHandle<()>>,
@@ -65,22 +68,40 @@ pub struct HttpServer {
     pub stats: Arc<ServerStats>,
 }
 
-impl HttpServer {
-    /// Bind `bind_addr` (e.g. `127.0.0.1:0`) and serve requests on
-    /// `workers` pool threads.
+/// A running HTTP server: the accept loop serving HTTP requests.
+pub type HttpServer = TcpServer;
+
+impl TcpServer {
+    /// Bind `bind_addr` (e.g. `127.0.0.1:0`) and serve HTTP requests
+    /// with `handler` on `workers` pool threads.
     pub fn start(
         bind_addr: &str,
         handler: Arc<dyn Handler>,
         workers: usize,
     ) -> std::io::Result<HttpServer> {
+        TcpServer::serve(bind_addr, "soap-accept", workers, move |stream, stats| {
+            serve_connection(stream, &*handler, stats)
+        })
+    }
+
+    /// Bind `bind_addr` (e.g. `127.0.0.1:0`) and serve every accepted
+    /// connection with `serve` on one of `workers` pool threads; `name`
+    /// names the accept thread.
+    pub fn serve(
+        bind_addr: &str,
+        name: &str,
+        workers: usize,
+        serve: impl Fn(TcpStream, &ServerStats) + Send + Sync + 'static,
+    ) -> std::io::Result<TcpServer> {
         let listener = TcpListener::bind(bind_addr)?;
         let addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(ServerStats::default());
         let accept_shutdown = Arc::clone(&shutdown);
         let accept_stats = Arc::clone(&stats);
+        let serve = Arc::new(serve);
         let accept_thread = std::thread::Builder::new()
-            .name("soap-accept".into())
+            .name(name.into())
             .spawn(move || {
                 let pool = ThreadPool::new(workers);
                 for conn in listener.incoming() {
@@ -89,13 +110,13 @@ impl HttpServer {
                     }
                     let Ok(stream) = conn else { continue };
                     accept_stats.connections.fetch_add(1, Ordering::Relaxed);
-                    let handler = Arc::clone(&handler);
+                    let serve = Arc::clone(&serve);
                     let stats = Arc::clone(&accept_stats);
-                    pool.execute(move || serve_connection(stream, &*handler, &stats));
+                    pool.execute(move || serve(stream, &stats));
                 }
                 // pool drops here, joining workers
             })?;
-        Ok(HttpServer { addr, shutdown, accept_thread: Some(accept_thread), stats })
+        Ok(TcpServer { addr, shutdown, accept_thread: Some(accept_thread), stats })
     }
 
     /// The bound address (useful with port 0).
@@ -117,7 +138,7 @@ impl HttpServer {
     }
 }
 
-impl Drop for HttpServer {
+impl Drop for TcpServer {
     fn drop(&mut self) {
         self.stop();
     }
@@ -137,6 +158,7 @@ fn serve_connection(stream: TcpStream, handler: &dyn Handler, stats: &ServerStat
             Err(_) => {
                 let resp = Response::error(400, "Bad Request", "malformed request");
                 let _ = write_response(&mut writer, &resp, false);
+                lingering_close(writer.get_ref());
                 return;
             }
         };
@@ -145,6 +167,34 @@ fn serve_connection(stream: TcpStream, handler: &dyn Handler, stats: &ServerStat
         let resp = handler.handle(&req);
         if write_response(&mut writer, &resp, keep).is_err() || !keep {
             return;
+        }
+    }
+}
+
+/// Time budget of a [`lingering_close`].
+const LINGER_TIME: Duration = Duration::from_secs(1);
+/// Byte budget of a [`lingering_close`].
+const LINGER_BYTES: usize = 256 * 1024;
+
+/// Close a connection the server gave up on without resetting it. The
+/// sending half is shut down first, so the peer reads everything already
+/// written and then EOF; then whatever the peer still sends is read and
+/// discarded, up to a byte and a time budget. Dropping a socket with
+/// unread input instead makes the kernel answer with a reset, which can
+/// destroy the error response still in flight to the peer.
+pub fn lingering_close(stream: &TcpStream) {
+    let _ = stream.shutdown(Shutdown::Write);
+    let deadline = Instant::now() + LINGER_TIME;
+    let mut buf = [0u8; 4096];
+    let mut drained = 0;
+    while drained < LINGER_BYTES {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            return;
+        }
+        match (&*stream).read(&mut buf) {
+            Ok(0) | Err(_) => return,
+            Ok(n) => drained += n,
         }
     }
 }

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use mcs::{Credential, FileSpec, Mcs};
-use mcs_net::{BinMcsClient, McsClient};
+use mcs_net::{BinMcsClient, McsClient, Request, Response};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use soapstack::TransportOpts;
@@ -159,11 +159,12 @@ pub fn make_worker(
                 // constant-bounded undercount).
                 return Box::new(move || {
                     let i = rng.gen_range(0..n_files);
-                    if client.send_get_file(&spec::file_name(i)).is_err() {
+                    let name = spec::file_name(i);
+                    if client.send(&Request::GetFile { name }).is_err() {
                         return false;
                     }
                     if client.inflight() >= pipeline {
-                        return client.recv_file().is_ok();
+                        return matches!(client.recv(), Ok(Response::File(_)));
                     }
                     true
                 });

@@ -37,13 +37,19 @@
 #                      property test (barrier/MVCC/4-shard), and the
 #                      explainQuery SOAP round-trip
 #   verify.sh wire     the binary wire-protocol contract (DESIGN.md
-#                      §7.7): frame codec unit tests, the seeded
-#                      SOAP-vs-binary cross-protocol twin property
-#                      test (barrier/MVCC/4-shard), the frame-decoder
+#                      §7.7): frame codec unit tests, the golden
+#                      transcript pinning both wire formats, the
+#                      seeded Request/Reply codec round-trip
+#                      properties, the seeded SOAP-vs-binary
+#                      cross-protocol twin property test
+#                      (barrier/MVCC/4-shard), the frame-decoder
 #                      fuzz/robustness harness, the 8×200 pipelining
 #                      stress test, and the connection-reuse
 #                      regressions shared with the SOAP keep-alive
 #                      client
+#   verify.sh catbench the benchmark's own workspace (catbench/):
+#                      release build and smoke test against the
+#                      current crates
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -140,10 +146,12 @@ case "$lane" in
   wire)
     start=$(date +%s)
     cargo test -q -p mcs-net --lib binproto
-    if ! cargo test -q -p mcs-net --test wire_twin; then
+    cargo test -q -p mcs-net --lib ops
+    cargo test -q -p mcs-net --test wire_golden
+    if ! cargo test -q -p mcs-net --test codec_roundtrip --test wire_twin; then
       echo "wire lane failed." >&2
-      echo "To replay a twin-divergence failure, rerun with the seed printed above:" >&2
-      echo "  MCS_WIRE_SEED=<seed> cargo test -p mcs-net --test wire_twin -- --nocapture" >&2
+      echo "To replay a round-trip or twin-divergence failure, rerun with the seed printed above:" >&2
+      echo "  MCS_WIRE_SEED=<seed> cargo test -p mcs-net --test codec_roundtrip --test wire_twin -- --nocapture" >&2
       exit 1
     fi
     cargo test -q -p mcs-net --test bin_fuzz
@@ -151,8 +159,13 @@ case "$lane" in
     cargo test -q -p soapstack --test keep_alive
     echo "wire lane: $(($(date +%s) - start))s elapsed"
     ;;
+  catbench)
+    start=$(date +%s)
+    cargo test --release --offline --manifest-path catbench/Cargo.toml
+    echo "catbench lane: $(($(date +%s) - start))s elapsed"
+    ;;
   *)
-    echo "usage: verify.sh [unit|crash|stress|async-durability|cache|shard|mvcc|planner|wire]" >&2
+    echo "usage: verify.sh [unit|crash|stress|async-durability|cache|shard|mvcc|planner|wire|catbench]" >&2
     exit 2
     ;;
 esac
