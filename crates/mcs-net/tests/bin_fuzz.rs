@@ -6,7 +6,7 @@
 //! structured error frame on an intact connection. After every abuse
 //! the server must still serve a well-behaved client.
 //!
-//! Seeded like the twin suite: `MCS_WIRE_SEED=<seed> cargo test -p
+//! Seeded like `codec_roundtrip`: `MCS_WIRE_SEED=<seed> cargo test -p
 //! mcs-net --test bin_fuzz` replays a failing randomized round.
 
 use std::io::{Read, Write};

@@ -3,7 +3,7 @@
 //! on the SOAP codec (through real envelope text) and on the binary
 //! codec (through real frame bodies). Together with the golden
 //! transcript (`wire_golden.rs`) and one behavioural run per protocol
-//! pair (`wire_twin.rs`), this is what makes the two wires the same
+//! pair (`twin.rs`), this is what makes the two wires the same
 //! service.
 //!
 //! Hand-rolled xorshift PRNG like the other seeded suites; replay a

@@ -9,7 +9,7 @@
 //! body in hex. The transcript — one line per operation, holding for each
 //! of its calls the request and response on both wires and each client's
 //! decoded `{:?}` result — must equal `tests/golden/<n>shard.txt` byte
-//! for byte. `wire_twin` compares the two protocols with each other; this
+//! for byte. `twin.rs` compares the two protocols with each other; this
 //! test fixes what each of them is.
 //!
 //! The script runs on a one-shard and a two-shard catalog: the SOAP

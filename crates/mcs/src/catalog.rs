@@ -6,6 +6,7 @@
 //! ([`crate::authz`]), queries ([`crate::query`]), annotations, audit,
 //! history, users and external catalogs.
 
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use relstore::{Access, Database, Prepared, Value};
@@ -200,6 +201,12 @@ impl StoreConfig {
         self.mvcc = true;
         self
     }
+}
+
+/// A file spec that passed [`Mcs::check_file_spec`]: what its insert needs.
+pub(crate) struct CheckedSpec {
+    collection_id: Option<i64>,
+    attr_rows: Vec<[Value; 10]>,
 }
 
 /// The Metadata Catalog Service.
@@ -579,6 +586,30 @@ impl Mcs {
 
     // ---------- logical files ----------
 
+    /// Validate, authorize and type-check one spec: everything
+    /// [`Mcs::create_file`] and [`Mcs::create_files`] refuse before their
+    /// insert transaction starts.
+    pub(crate) fn check_file_spec(&self, cred: &Credential, spec: &FileSpec) -> Result<CheckedSpec> {
+        validate_name(&spec.name)?;
+        let collection_id = match &spec.collection {
+            Some(cname) => {
+                let c = self.resolve_collection(cname)?;
+                self.require_collection_perm(cred, &c, Permission::Write)?;
+                Some(c.id)
+            }
+            None => {
+                self.require_service_perm(cred, Permission::Write)?;
+                None
+            }
+        };
+        let attr_rows = spec
+            .attributes
+            .iter()
+            .map(|a| self.attr_row_values(ObjectType::File, a))
+            .collect::<Result<_>>()?;
+        Ok(CheckedSpec { collection_id, attr_rows })
+    }
+
     /// Create a logical file with its creation-time attributes
     /// (paper API: "Creating a logical file").
     ///
@@ -586,25 +617,8 @@ impl Mcs {
     /// Write on the service. The insert of the file row and its attribute
     /// rows is atomic.
     pub fn create_file(&self, cred: &Credential, spec: &FileSpec) -> Result<LogicalFile> {
-        validate_name(&spec.name)?;
         let version = spec.version.unwrap_or(1);
-        let collection = match &spec.collection {
-            Some(cname) => {
-                let c = self.resolve_collection(cname)?;
-                self.require_collection_perm(cred, &c, Permission::Write)?;
-                Some(c)
-            }
-            None => {
-                self.require_service_perm(cred, Permission::Write)?;
-                None
-            }
-        };
-        // Type-check the attributes against their definitions up front.
-        let attr_rows: Vec<[Value; 10]> = spec
-            .attributes
-            .iter()
-            .map(|a| self.attr_row_values(ObjectType::File, a))
-            .collect::<Result<_>>()?;
+        let CheckedSpec { collection_id, attr_rows } = self.check_file_spec(cred, spec)?;
 
         let now = self.now();
         // One transaction: the file row, its attribute rows, and the audit
@@ -624,7 +638,7 @@ impl Mcs {
                         version.into(),
                         opt_str(&spec.data_type),
                         true.into(),
-                        collection.as_ref().map_or(Value::Null, |c| c.id.into()),
+                        collection_id.map_or(Value::Null, Value::from),
                         opt_str(&spec.container_id),
                         opt_str(&spec.container_service),
                         cred.dn.as_str().into(),
@@ -680,39 +694,45 @@ impl Mcs {
     pub fn create_files(&self, cred: &Credential, specs: &[FileSpec]) -> Result<Vec<LogicalFile>> {
         // Phase 1 (outside the transaction): per-spec validation,
         // collection resolution + authorization, attribute type-checks.
-        struct Checked<'a> {
-            spec: &'a FileSpec,
-            version: i64,
-            collection_id: Option<i64>,
-            attr_rows: Vec<[Value; 10]>,
-        }
-        let mut checked = Vec::with_capacity(specs.len());
-        for spec in specs {
-            validate_name(&spec.name)?;
-            let collection_id = match &spec.collection {
-                Some(cname) => {
-                    let c = self.resolve_collection(cname)?;
-                    self.require_collection_perm(cred, &c, Permission::Write)?;
-                    Some(c.id)
-                }
-                None => {
-                    self.require_service_perm(cred, Permission::Write)?;
-                    None
-                }
-            };
-            let attr_rows: Vec<[Value; 10]> = spec
-                .attributes
-                .iter()
-                .map(|a| self.attr_row_values(ObjectType::File, a))
-                .collect::<Result<_>>()?;
-            checked.push(Checked {
-                spec,
-                version: spec.version.unwrap_or(1),
-                collection_id,
-                attr_rows,
-            });
-        }
+        let checked =
+            specs.iter().map(|spec| self.check_file_spec(cred, spec)).collect::<Result<Vec<_>>>()?;
+        self.insert_files(cred, specs, &checked)
+    }
 
+    /// Refuse `spec` with the error its insert in [`Mcs::insert_files`]
+    /// would fail with — its name and version already taken here or by
+    /// a spec earlier in the same batch (`batch`, which this extends),
+    /// or an attribute named twice — without writing anything.
+    pub(crate) fn check_insertable<'a>(
+        &self,
+        spec: &'a FileSpec,
+        batch: &mut HashSet<(&'a str, i64)>,
+    ) -> Result<()> {
+        let version = spec.version.unwrap_or(1);
+        let taken = match self.resolve_file_version_uncached(&spec.name, version) {
+            Ok(_) => true,
+            Err(McsError::NotFound(_)) => false,
+            Err(e) => return Err(e),
+        };
+        if taken || !batch.insert((spec.name.as_str(), version)) {
+            return Err(McsError::AlreadyExists(format!("{}.v{version}", spec.name)));
+        }
+        let mut names = HashSet::new();
+        match spec.attributes.iter().find(|a| !names.insert(a.name.as_str())) {
+            Some(a) => Err(McsError::BadAttribute(format!("duplicate attribute `{}`", a.name))),
+            None => Ok(()),
+        }
+    }
+
+    /// Phase 2 of [`Mcs::create_files`]: insert specs that already
+    /// passed [`Mcs::check_file_spec`] (`checked[i]` belongs to
+    /// `specs[i]`).
+    pub(crate) fn insert_files(
+        &self,
+        cred: &Credential,
+        specs: &[FileSpec],
+        checked: &[CheckedSpec],
+    ) -> Result<Vec<LogicalFile>> {
         let now = self.now();
         // Phase 2: one transaction for the whole batch — N file rows, all
         // their attribute rows and audit records, one commit (one fsync
@@ -726,13 +746,13 @@ impl Mcs {
             ],
             |s| {
                 let mut ids = Vec::with_capacity(checked.len());
-                for c in &checked {
-                    let spec = c.spec;
+                for (spec, c) in specs.iter().zip(checked) {
+                    let version = spec.version.unwrap_or(1);
                     let res = s.execute_prepared(
                         &self.stmts.ins_file,
                         &[
                             spec.name.as_str().into(),
-                            c.version.into(),
+                            version.into(),
                             opt_str(&spec.data_type),
                             true.into(),
                             c.collection_id.map_or(Value::Null, Value::from),
@@ -747,8 +767,8 @@ impl Mcs {
                     let res = match res {
                         Err(relstore::Error::UniqueViolation { .. }) => {
                             return Err(McsError::AlreadyExists(format!(
-                                "{}.v{}",
-                                spec.name, c.version
+                                "{}.v{version}",
+                                spec.name
                             )))
                         }
                         other => other?,

@@ -407,9 +407,7 @@ impl Mcs {
             let value = coerced_value(p, ty);
             acc = Some(match (&step.role, acc) {
                 (Role::SeedIndex(a), None) => self.eval_access(t, p, ty, &value, a)?,
-                (Role::SeedPosting, None) => {
-                    self.posting_scan(t, p, ty, ty.full_row_column(), &value)?
-                }
+                (Role::SeedPosting, None) => self.posting_scan(t, p, ty, &value)?,
                 (Role::Intersect(a), Some(prev)) => {
                     let ids = self.eval_access(t, p, ty, &value, a)?;
                     prev.intersection(&ids).copied().collect()

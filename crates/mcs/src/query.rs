@@ -92,21 +92,14 @@ impl Mcs {
                 // probes — see `crate::plan` and `Mcs::explain_query`.
                 let plan = crate::plan::plan_conjunction(&t, &checked)?;
                 candidates = Some(self.run_attr_plan(&t, &checked, &plan)?);
-            } else if self.profile == IndexProfile::ValueIndexed {
-                // Planner bypass: the naive oracle — one `ua_name`
-                // posting scan per predicate, intersected in syntactic
-                // order. Twin tests diff this against the planned path.
+            } else {
+                // The 2003 evaluation, and the planner-bypass oracle the
+                // differential harness diffs the planned path against:
+                // one `ua_name` posting scan per predicate, intersected
+                // in syntactic order.
                 for (p, ty) in &checked {
                     let value = crate::plan::coerced_value(p, *ty);
-                    let ids = self.posting_scan(&t, p, *ty, ty.full_row_column(), &value)?;
-                    candidates = intersect(candidates, ids);
-                    if candidates.as_ref().is_some_and(HashSet::is_empty) {
-                        break;
-                    }
-                }
-            } else {
-                for (p, ty) in &checked {
-                    let ids = self.eval_predicate(&t, p, *ty)?;
+                    let ids = self.posting_scan(&t, p, *ty, &value)?;
                     candidates = intersect(candidates, ids);
                     if candidates.as_ref().is_some_and(HashSet::is_empty) {
                         break;
@@ -155,7 +148,7 @@ impl Mcs {
             }
         }
 
-        self.posting_scan(t, p, ty, ty.full_row_column(), &value)
+        self.posting_scan(t, p, ty, &value)
     }
 
     /// The 2003 evaluation path: walk every attribute row with this name
@@ -166,8 +159,7 @@ impl Mcs {
         &self,
         t: &relstore::Table,
         p: &AttrPredicate,
-        _ty: AttrType,
-        val_col: usize,
+        ty: AttrType,
         value: &Value,
     ) -> Result<HashSet<i64>> {
         let ix = t
@@ -190,7 +182,7 @@ impl Mcs {
             if t.is_mvcc() && !matches!(&row[3], Value::Str(s) if s.as_ref() == p.name) {
                 continue;
             }
-            let stored = &row[val_col];
+            let stored = &row[ty.full_row_column()];
             let matches = match p.op {
                 AttrOp::Like => like_match(stored.as_str()?, value.as_str()?),
                 op => match stored.sql_cmp(value) {

@@ -59,7 +59,7 @@
 //! aggregate.
 
 use std::cell::Cell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::path::Path;
 use std::sync::{mpsc, Arc};
 
@@ -693,24 +693,41 @@ impl ShardedCatalog {
     /// protocols' `createFiles`. Specs are grouped by owning shard and
     /// each shard's group commits in **one** transaction, shards visited
     /// in shard order under the read side of the catalog lock (so no
-    /// referenced collection can be concurrently deleted). Atomicity is
-    /// per shard, like two-phase membership writes: a failing spec aborts
-    /// its own shard's whole group and stops the remaining shards, but
-    /// groups already committed on lower shards stay. Results return in
-    /// input order; the echoed epoch is the last shard's commit.
+    /// referenced collection can be concurrently deleted). Before any
+    /// group commits, the whole batch is checked in the order the
+    /// single-shard path reports failures — every spec's validation,
+    /// then name conflicts and repeated attributes, first failing spec
+    /// first — so a batch refused there changes nothing and fails with
+    /// the single-shard error. Only a commit-time failure (a concurrent
+    /// create of the same name, a log error) is per shard, like two-phase
+    /// membership writes: it aborts its own shard's group and stops the
+    /// remaining shards, while groups committed on lower shards stay.
+    /// Results return in input order; the echoed epoch is the last
+    /// shard's commit.
     pub fn create_files(&self, cred: &Credential, specs: &[FileSpec]) -> Result<Vec<LogicalFile>> {
         if self.single() {
             return self.record(0, |m| m.create_files(cred, specs));
         }
         let _g = self.global.read();
-        let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for (i, spec) in specs.iter().enumerate() {
-            groups.entry(self.shard_for(&spec.name)).or_default().push(i);
+        let owners: Vec<usize> = specs.iter().map(|s| self.shard_for(&s.name)).collect();
+        let mut checked = Vec::with_capacity(specs.len());
+        for (spec, &k) in specs.iter().zip(&owners) {
+            checked.push(self.shards[k].check_file_spec(cred, spec)?);
+        }
+        let mut batch = HashSet::new();
+        for (spec, &k) in specs.iter().zip(&owners) {
+            self.shards[k].check_insertable(spec, &mut batch)?;
+        }
+        let mut groups: BTreeMap<usize, (Vec<usize>, Vec<FileSpec>, Vec<_>)> = BTreeMap::new();
+        for (i, (c, &k)) in checked.into_iter().zip(&owners).enumerate() {
+            let (idxs, group, group_checked) = groups.entry(k).or_default();
+            idxs.push(i);
+            group.push(specs[i].clone());
+            group_checked.push(c);
         }
         let mut out: Vec<Option<LogicalFile>> = vec![None; specs.len()];
-        for (k, idxs) in groups {
-            let group: Vec<FileSpec> = idxs.iter().map(|&i| specs[i].clone()).collect();
-            let files = self.record(k, |m| m.create_files(cred, &group))?;
+        for (k, (idxs, group, group_checked)) in groups {
+            let files = self.record(k, |m| m.insert_files(cred, &group, &group_checked))?;
             for (i, f) in idxs.into_iter().zip(files) {
                 out[i] = Some(f);
             }
@@ -1324,6 +1341,27 @@ mod tests {
         let mut sorted = hits.clone();
         sorted.sort();
         assert_eq!(hits, sorted, "merged results are sorted");
+    }
+
+    #[test]
+    fn refused_batch_matches_single_shard_and_commits_nothing() {
+        let a = admin();
+        let (one, four) = (catalog(1), catalog(4));
+        // Two names on different shards, so the batch spans groups; the
+        // later spec's shard is visited first.
+        let (x, y) = ("f03.dat", "f12.dat");
+        assert!(four.shard_for(y) < four.shard_for(x));
+        for (batch, err) in [
+            (vec![FileSpec::named(x).attr("run", 1i64).attr("run", 2i64), FileSpec::named(y)], "`run`"),
+            (vec![FileSpec::named(x), FileSpec::named(y), FileSpec::named(y)], "f12.dat.v1"),
+        ] {
+            for sc in [&one, &four] {
+                sc.define_attribute(&a, "run", AttrType::Int, "").unwrap();
+                let e = sc.create_files(&a, &batch).unwrap_err().to_string();
+                assert!(e.contains(err), "{e}");
+                assert_eq!(sc.file_count().unwrap(), 0);
+            }
+        }
     }
 
     #[test]

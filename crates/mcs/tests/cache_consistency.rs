@@ -1,213 +1,18 @@
-//! Property test for the read-cache consistency contract (DESIGN.md
-//! §7.3): under seeded random interleavings of file creates, attribute
-//! writes, deletes, collection churn and queries, a **cached** catalog
-//! must return exactly what an **uncached twin** fed the same operation
-//! stream returns — at every step, for every operation, including
-//! errors. The cache is deliberately tiny so eviction and refill are
-//! exercised, not just warm hits.
-//!
-//! The driver is single-threaded so a seed replays the exact
-//! interleaving. Deliberately hand-rolled xorshift PRNG: the property
-//! must not depend on a test-only dependency being present. Reproduce a
-//! failure with
-//! `MCS_CACHE_SEED=<seed> cargo test -p mcs --test cache_consistency`.
+//! The read-cache invalidation contract (DESIGN.md §7.3), targeted: a
+//! commit stales exactly the cached entries whose input tables it
+//! touched. The seeded cached-vs-uncached comparison lives in the
+//! differential harness (`crates/mcs-net/tests/twin.rs`,
+//! `cached_catalog_equals_uncached_twin`).
 
-use std::fmt::Debug;
 use std::sync::Arc;
 
 use mcs::{
     AttrOp, AttrPredicate, AttrType, Attribute, CacheConfig, Credential, FileSpec, IndexProfile,
     ManualClock, Mcs, ObjectRef,
 };
-use relstore::Value;
-
-/// xorshift64 — deterministic, seedable, no dependencies. Seed must be
-/// non-zero (0 is mapped to a fixed constant).
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Rng {
-        Rng(if seed == 0 { 0x9E37_79B9_7F4A_7C15 } else { seed })
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
 
 fn admin() -> Credential {
     Credential::new("/O=Grid/CN=admin")
-}
-
-/// Collapse a result to a comparable form: success payloads must match
-/// exactly, and failures must be the *same* failure.
-fn norm<T: Debug>(r: &mcs::Result<T>) -> String {
-    format!("{r:?}")
-}
-
-fn file_name(i: u64) -> String {
-    format!("f{i:02}.dat")
-}
-
-fn random_value(rng: &mut Rng, ty: AttrType) -> Value {
-    match ty {
-        AttrType::Int => Value::Int(rng.below(5) as i64),
-        AttrType::Str => Value::from(format!("s{}", rng.below(4)).as_str()),
-        AttrType::Float => Value::Float(rng.below(4) as f64 / 2.0),
-        _ => unreachable!("test uses int/str/float only"),
-    }
-}
-
-fn random_pred(rng: &mut Rng) -> AttrPredicate {
-    let (name, ty) = match rng.below(3) {
-        0 => ("run", AttrType::Int),
-        1 => ("site", AttrType::Str),
-        _ => ("quality", AttrType::Float),
-    };
-    let op = match rng.below(5) {
-        0 => AttrOp::Eq,
-        1 => AttrOp::Ne,
-        2 => AttrOp::Le,
-        3 => AttrOp::Ge,
-        _ => AttrOp::Lt,
-    };
-    AttrPredicate { name: name.into(), op, value: random_value(rng, ty) }
-}
-
-fn check_case(seed: u64, profile: IndexProfile) {
-    eprintln!("cache_consistency: seed = {seed}, profile = {profile:?}");
-    let a = admin();
-    // Tiny cache: 16 entries across 2 shards, so steady-state operation
-    // constantly evicts and refills.
-    let cached = Mcs::with_options_cached(
-        &a,
-        profile,
-        Arc::new(ManualClock::default()),
-        CacheConfig { capacity: 16, shards: 2 },
-    )
-    .unwrap();
-    let plain =
-        Mcs::with_options(&a, profile, Arc::new(ManualClock::default())).unwrap();
-    assert!(cached.cache_enabled() && !plain.cache_enabled());
-
-    for (catalog, name, ty) in [
-        (&cached, "run", AttrType::Int),
-        (&plain, "run", AttrType::Int),
-        (&cached, "site", AttrType::Str),
-        (&plain, "site", AttrType::Str),
-        (&cached, "quality", AttrType::Float),
-        (&plain, "quality", AttrType::Float),
-    ] {
-        catalog.define_attribute(&a, name, ty, "").unwrap();
-    }
-
-    let mut rng = Rng::new(seed);
-    for step in 0..400 {
-        let twins: [&Mcs; 2] = [&cached, &plain];
-        let outcome: [String; 2] = match rng.below(12) {
-            // 0–2: create a file (small name pool → AlreadyExists races)
-            0..=2 => {
-                let mut spec = FileSpec::named(file_name(rng.below(12)));
-                let n_attrs = rng.below(3);
-                for _ in 0..n_attrs {
-                    let p = random_pred(&mut rng);
-                    spec = spec.attr(p.name, p.value);
-                }
-                twins.map(|m| norm(&m.create_file(&a, &spec)))
-            }
-            // 3–4: set an attribute on a (maybe missing) file
-            3..=4 => {
-                let obj = ObjectRef::File(file_name(rng.below(12)));
-                let p = random_pred(&mut rng);
-                let attr = Attribute { name: p.name, value: p.value };
-                twins.map(|m| norm(&m.set_attribute(&a, &obj, &attr)))
-            }
-            // 5: remove an attribute
-            5 => {
-                let obj = ObjectRef::File(file_name(rng.below(12)));
-                let name = ["run", "site", "quality"][rng.below(3) as usize];
-                twins.map(|m| norm(&m.remove_attribute(&a, &obj, name)))
-            }
-            // 6: delete a file
-            6 => {
-                let f = file_name(rng.below(12));
-                twins.map(|m| norm(&m.delete_file(&a, &f)))
-            }
-            // 7: collection churn (logical_collections writes)
-            7 => {
-                let c = format!("c{}", rng.below(3));
-                if rng.below(2) == 0 {
-                    twins.map(|m| norm(&m.create_collection(&a, &c, None, "")))
-                } else {
-                    twins.map(|m| norm(&m.delete_collection(&a, &c)))
-                }
-            }
-            // 8: resolve a file (hot resolution cache path)
-            8 => {
-                let f = file_name(rng.below(12));
-                twins.map(|m| norm(&m.get_file(&a, &f)))
-            }
-            // 9: resolve a collection
-            9 => {
-                let c = format!("c{}", rng.below(3));
-                twins.map(|m| norm(&m.get_collection(&a, &c)))
-            }
-            // 10–11: the complex query, 1–3 random predicates
-            _ => {
-                let n = 1 + rng.below(3);
-                let preds: Vec<AttrPredicate> =
-                    (0..n).map(|_| random_pred(&mut rng)).collect();
-                let r_cached = cached.query_by_attributes(&a, &preds);
-                // Every query also runs bypassed on the cached catalog:
-                // the bypass path must behave like the uncached twin.
-                let r_bypass =
-                    cached.with_cache_bypass(|m| m.query_by_attributes(&a, &preds));
-                assert_eq!(
-                    norm(&r_cached),
-                    norm(&r_bypass),
-                    "seed {seed} step {step}: bypass diverged from cached"
-                );
-                [norm(&r_cached), norm(&plain.query_by_attributes(&a, &preds))]
-            }
-        };
-        assert_eq!(
-            outcome[0], outcome[1],
-            "seed {seed} step {step}: cached catalog diverged from uncached twin"
-        );
-    }
-
-    // The cache must actually have been exercised for this to mean much.
-    let stats = cached.cache_stats().unwrap();
-    assert!(stats.hits > 0, "seed {seed}: no cache hits in 400 steps");
-    assert!(stats.misses > 0, "seed {seed}: no cache misses in 400 steps");
-}
-
-/// Random interleavings under several fixed seeds (or one from
-/// `MCS_CACHE_SEED`, for replaying a CI failure).
-#[test]
-fn cached_catalog_equals_uncached_twin() {
-    if let Some(seed) =
-        std::env::var("MCS_CACHE_SEED").ok().and_then(|s| s.parse::<u64>().ok())
-    {
-        check_case(seed, IndexProfile::Paper2003);
-        check_case(seed, IndexProfile::ValueIndexed);
-        return;
-    }
-    for seed in [42, 0xDEAD_BEEF, 7] {
-        check_case(seed, IndexProfile::Paper2003);
-    }
-    for seed in [1_000_003, 0x9E37_79B9_7F4A_7C15] {
-        check_case(seed, IndexProfile::ValueIndexed);
-    }
 }
 
 /// A commit invalidates exactly the cached entries whose input tables it

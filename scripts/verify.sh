@@ -16,33 +16,33 @@
 #                      monotonicity property test, SOAP round-trip
 #   verify.sh cache    the read-cache consistency contract (DESIGN.md
 #                      §7.3): table-version unit tests, cache unit
-#                      tests, the seeded cached-vs-uncached twin
-#                      property test, and the SOAP bypass/stats
-#                      round-trip
+#                      tests, the targeted invalidation test, the
+#                      differential harness's cached-vs-uncached
+#                      family, and the SOAP bypass/stats round-trip
 #   verify.sh shard    the sharded-catalog contract (DESIGN.md §7.4):
-#                      the seeded 1-shard-vs-4-shard twin property
-#                      test, the two-phase membership crash matrix,
+#                      the differential harness's 4-shard family,
+#                      the two-phase membership crash matrix,
 #                      the parallel loader equivalence test, and the
 #                      SOAP shard-routing round-trip
 #   verify.sh mvcc     the snapshot-read contract (DESIGN.md §7.5):
 #                      relstore version-chain/snapshot/vacuum unit
-#                      tests, the seeded MVCC-vs-barrier twin property
-#                      test, the snapshot-isolation test, and the
+#                      tests, the differential harness's MVCC family,
+#                      the snapshot-isolation test, and the
 #                      MVCC WAL-truncation crash matrix
 #   verify.sh planner  the cost-based-planner contract (DESIGN.md
 #                      §7.6): relstore statistics/index-dive unit
 #                      tests, plan construction unit tests, the
 #                      plan-shape + statistics edge-case regressions,
-#                      the seeded planner-vs-posting-scan twin
-#                      property test (barrier/MVCC/4-shard), and the
+#                      the differential harness's planner-vs-posting-
+#                      scan family (barrier/MVCC/4-shard), and the
 #                      explainQuery SOAP round-trip
 #   verify.sh wire     the binary wire-protocol contract (DESIGN.md
 #                      §7.7): frame codec unit tests, the golden
 #                      transcript pinning both wire formats, the
 #                      seeded Request/Reply codec round-trip
-#                      properties, the seeded SOAP-vs-binary
-#                      cross-protocol twin property test
-#                      (barrier/MVCC/4-shard), the frame-decoder
+#                      properties, the differential harness's
+#                      SOAP-vs-binary family (barrier/MVCC/4-shard)
+#                      and its all-toggles configuration, the frame-decoder
 #                      fuzz/robustness harness, the 8×200 pipelining
 #                      stress test, and the connection-reuse
 #                      regressions shared with the SOAP keep-alive
@@ -50,8 +50,26 @@
 #   verify.sh catbench the benchmark's own workspace (catbench/):
 #                      release build and smoke test against the
 #                      current crates
+#
+# The twin steps of the cache, shard, mvcc, planner and wire lanes each
+# run one family of the differential harness (crates/mcs-net/tests/
+# twin.rs). A failure prints its seed; one variable replays every
+# family:
+#
+#   MCS_TWIN_SEED=<seed> cargo test -p mcs-net --test twin -- --nocapture
 set -eu
 cd "$(dirname "$0")/.."
+
+# Run one family of the differential harness; on failure, print the
+# replay hint and fail the lane.
+twin() {
+  if ! cargo test -q -p mcs-net --test twin "$1"; then
+    echo "$lane lane failed." >&2
+    echo "To replay a twin-divergence failure, rerun with the seed printed above:" >&2
+    echo "  MCS_TWIN_SEED=<seed> cargo test -p mcs-net --test twin -- --nocapture" >&2
+    exit 1
+  fi
+}
 
 lane="${1:-all}"
 case "$lane" in
@@ -90,24 +108,15 @@ case "$lane" in
     start=$(date +%s)
     cargo test -q -p relstore --lib table_version
     cargo test -q -p mcs --lib cache
-    if ! cargo test -q -p mcs --test cache_consistency; then
-      echo "cache lane failed." >&2
-      echo "To replay a twin-divergence failure, rerun with the seed printed above:" >&2
-      echo "  MCS_CACHE_SEED=<seed> cargo test -p mcs --test cache_consistency -- --nocapture" >&2
-      exit 1
-    fi
+    cargo test -q -p mcs --test cache_consistency
+    twin cached_catalog_equals_uncached_twin
     cargo test -q -p mcs-net --test cache_over_net
     cargo test -q -p soapstack --test keep_alive
     echo "cache lane: $(($(date +%s) - start))s elapsed"
     ;;
   shard)
     start=$(date +%s)
-    if ! cargo test -q -p mcs --test shard_twin; then
-      echo "shard lane failed." >&2
-      echo "To replay a twin-divergence failure, rerun with the seed printed above:" >&2
-      echo "  MCS_SHARD_SEED=<seed> cargo test -p mcs --test shard_twin -- --nocapture" >&2
-      exit 1
-    fi
+    twin sharded_catalog_equals_single_shard_twin
     cargo test -q -p mcs --test shard_crash
     cargo test -q -p workload sharded
     cargo test -q -p mcs-net --test sharded_over_net
@@ -118,12 +127,8 @@ case "$lane" in
     cargo test -q -p relstore --lib mvcc
     cargo test -q -p relstore --lib snapshot
     cargo test -q -p relstore --lib vacuum
-    if ! cargo test -q -p mcs --test mvcc_twin; then
-      echo "mvcc lane failed." >&2
-      echo "To replay a twin-divergence failure, rerun with the seed printed above:" >&2
-      echo "  MCS_MVCC_SEED=<seed> cargo test -p mcs --test mvcc_twin -- --nocapture" >&2
-      exit 1
-    fi
+    cargo test -q -p mcs --test mvcc_twin
+    twin mvcc_catalog_equals_barrier_twin
     cargo test -q -p mcs --test mvcc_truncation
     echo "mvcc lane: $(($(date +%s) - start))s elapsed"
     ;;
@@ -134,12 +139,7 @@ case "$lane" in
     cargo test -q -p relstore --lib planner
     cargo test -q -p mcs --lib plan
     cargo test -q -p mcs --test plan_shape
-    if ! cargo test -q -p mcs --test planner_twin; then
-      echo "planner lane failed." >&2
-      echo "To replay a twin-divergence failure, rerun with the seed printed above:" >&2
-      echo "  MCS_PLANNER_SEED=<seed> cargo test -p mcs --test planner_twin -- --nocapture" >&2
-      exit 1
-    fi
+    twin planner_equals_posting_scan_oracle
     cargo test -q -p mcs-net --test roundtrip explain
     echo "planner lane: $(($(date +%s) - start))s elapsed"
     ;;
@@ -148,12 +148,14 @@ case "$lane" in
     cargo test -q -p mcs-net --lib binproto
     cargo test -q -p mcs-net --lib ops
     cargo test -q -p mcs-net --test wire_golden
-    if ! cargo test -q -p mcs-net --test codec_roundtrip --test wire_twin; then
+    if ! cargo test -q -p mcs-net --test codec_roundtrip; then
       echo "wire lane failed." >&2
-      echo "To replay a round-trip or twin-divergence failure, rerun with the seed printed above:" >&2
-      echo "  MCS_WIRE_SEED=<seed> cargo test -p mcs-net --test codec_roundtrip --test wire_twin -- --nocapture" >&2
+      echo "To replay a round-trip failure, rerun with the seed printed above:" >&2
+      echo "  MCS_WIRE_SEED=<seed> cargo test -p mcs-net --test codec_roundtrip -- --nocapture" >&2
       exit 1
     fi
+    twin binary_protocol_equals_soap
+    twin all_toggles_equal_the_oracle
     cargo test -q -p mcs-net --test bin_fuzz
     cargo test -q -p mcs-net --test bin_pipeline_stress
     cargo test -q -p soapstack --test keep_alive
